@@ -12,16 +12,19 @@ module Iset = Set.Make (Int)
    Exploration is tree-shaped rather than a DFS stack: every node ever
    reached stays live until all its branch candidates have started, and
    each run targets one (node, alternative) pair, replaying the node's
-   recorded path to get there. This lets the scheduler pick *which*
-   frontier to extend next (see [order] in {!explore}) instead of being
-   forced into deepest-first backtracking. *)
+   ancestor chain (followed through [parent]) to get there. This lets
+   the scheduler pick *which* frontier to extend next (see [order] in
+   {!explore}) instead of being forced into deepest-first backtracking.
+   Nodes share their ancestors rather than each holding a copy of its
+   path, so memory stays linear in the number of nodes however deep the
+   tree grows. *)
 type node = {
   mutable id : int;  (* commit order — assigned when the creating run
                         commits (creation order in the serial walk); -1
                         while the run is still speculative *)
   depth : int;  (* decision index of this node within its runs *)
-  path_nodes : node array;  (* ancestor decisions, root first *)
-  path_picks : int array;  (* pick taken at each ancestor *)
+  parent : (node * int) option;  (* previous decision and the pick taken
+                                    there; [None] at the root *)
   alts : Engine.alt array;
   sleep : Iset.t;  (* seqs asleep on entry to this node *)
   branch : Iset.t;  (* persistent set: seqs eligible for branching here *)
@@ -144,6 +147,22 @@ let explore ?(order = `Frontier) ?(full = false) ?(stop_on = fun _ -> false)
     let redundant = ref false in
     let target_forced = ref false in
     let choices_rev = ref [] in
+    (* The target's ancestors with their picks, root first: index [d]
+       is the decision the replay must reproduce at depth [d]. *)
+    let path =
+      match target with
+      | None -> [||]
+      | Some (n, _) ->
+          let path = Array.make n.depth (n, 0) in
+          let rec fill = function
+            | Some ((p : node), pick) ->
+                path.(p.depth) <- (p, pick);
+                fill p.parent
+            | None -> ()
+          in
+          fill n.parent;
+          path
+    in
     let choose (alts : Engine.alt array) =
       Array.iter
         (fun (a : Engine.alt) -> Hashtbl.replace label_of a.seq a.label)
@@ -153,7 +172,7 @@ let explore ?(order = `Frontier) ?(full = false) ?(stop_on = fun _ -> false)
       let pick =
         match target with
         | Some (n, _) when d < n.depth ->
-            let anc = n.path_nodes.(d) and p = n.path_picks.(d) in
+            let anc, p = path.(d) in
             if
               Array.length anc.alts <> Array.length alts
               || anc.alts.(p).seq <> alts.(p).seq
@@ -168,8 +187,8 @@ let explore ?(order = `Frontier) ?(full = false) ?(stop_on = fun _ -> false)
             (* Run-local shadow: descendants must see [started] grown by
                this run's own pick, but the real node is only updated at
                commit. Only [alts]/[sleep]/[started] of [last] are ever
-               read downstream, so the copy is safe to thread through
-               child paths. *)
+               read downstream, so the copy (which keeps [n]'s parent
+               link) is safe to hang child nodes from. *)
             last := Some ({ n with started = Iset.add n.alts.(i).seq snapshot }, i);
             i
         | _ ->
@@ -211,19 +230,11 @@ let explore ?(order = `Frontier) ?(full = false) ?(stop_on = fun _ -> false)
                 0
               end
               else begin
-                let path_nodes, path_picks =
-                  match !last with
-                  | None -> ([||], [||])
-                  | Some (p, ti) ->
-                      ( Array.append p.path_nodes [| p |],
-                        Array.append p.path_picks [| ti |] )
-                in
                 let node =
                   {
                     id = -1;
                     depth = d;
-                    path_nodes;
-                    path_picks;
+                    parent = !last;
                     alts;
                     sleep;
                     branch = closure ~full ~dependent alts alts.(!taken).seq;

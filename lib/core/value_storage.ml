@@ -20,6 +20,7 @@ type chunk_meta = {
   mutable slots : slot array;
   mutable valid : bool array;
   mutable live : int;
+  mutable live_padded : int;  (* sum of [padded len] over valid slots *)
 }
 
 type t = {
@@ -57,7 +58,14 @@ let create engine ~id ~size ~chunk_size ~queue_depth ~spec ~cost ~gc_watermark =
     nchunks;
     chunks =
       Array.init nchunks (fun _ ->
-          { state = Free; gen = 0; slots = [||]; valid = [||]; live = 0 });
+          {
+            state = Free;
+            gen = 0;
+            slots = [||];
+            valid = [||];
+            live = 0;
+            live_padded = 0;
+          });
     free_list = List.init nchunks (fun i -> i);
     nfree = nchunks;
     gc_watermark;
@@ -118,6 +126,7 @@ let release_chunk t c =
   meta.slots <- [||];
   meta.valid <- [||];
   meta.live <- 0;
+  meta.live_padded <- 0;
   t.free_list <- c :: t.free_list;
   t.nfree <- t.nfree + 1;
   let pending = Queue.length t.alloc_waiters in
@@ -166,6 +175,7 @@ let write_into_chunk ?io_counter t chunk values =
   meta.slots <- slots;
   meta.valid <- Array.make (Array.length slots) false;
   meta.live <- 0;
+  meta.live_padded <- 0;
   (* A partially filled chunk only transfers its used pages; the log is
      still written in large sequential extents. (At paper scale chunks are
      always full — the PWB is three orders of magnitude larger than a
@@ -279,7 +289,10 @@ let set_valid t ~gen ~chunk ~slot v =
       && meta.valid.(slot) <> v
     then begin
       meta.valid.(slot) <- v;
-      meta.live <- (meta.live + if v then 1 else -1)
+      let sign = if v then 1 else -1 in
+      meta.live <- meta.live + sign;
+      meta.live_padded <-
+        meta.live_padded + (sign * padded meta.slots.(slot).len)
     end
   end
 
@@ -315,13 +328,21 @@ let live_bytes t =
     t.chunks;
   !total
 
-let chunk_live_bytes t c =
-  let meta = t.chunks.(c) in
-  let b = ref 0 in
-  Array.iteri
-    (fun i s -> if meta.valid.(i) then b := !b + padded s.len)
-    meta.slots;
-  !b
+let chunk_live_bytes t ~chunk = t.chunks.(chunk).live_padded
+
+(* The order polymorphic [compare] gives on [(live, chunk)] pairs, which
+   victim choice depends on, without its generic dispatch. *)
+let compare_candidate (l1, c1) (l2, c2) =
+  if l1 <> l2 then Int.compare l1 l2 else Int.compare c1 c2
+
+let gc_candidates t =
+  let candidates = ref [] in
+  for c = 0 to t.nchunks - 1 do
+    let meta = t.chunks.(c) in
+    if meta.state = Sealed then
+      candidates := (meta.live_padded, c) :: !candidates
+  done;
+  List.sort compare_candidate !candidates
 
 (* Pick victim chunks greedily by live payload (§5.2). Compaction may
    write several output chunks; the pick only requires a net gain (more
@@ -329,13 +350,6 @@ let chunk_live_bytes t c =
    high occupancy this still makes progress where a single-output policy
    would wedge. *)
 let pick_victims t =
-  let candidates = ref [] in
-  Array.iteri
-    (fun c meta ->
-      if meta.state = Sealed then
-        candidates := (chunk_live_bytes t c, c) :: !candidates)
-    t.chunks;
-  let sorted = List.sort compare !candidates in
   let budget = t.chunk_size - (2 * header_size) in
   let outputs_for bytes = Prism_sim.Bits.ceil_div (max 1 bytes) budget in
   (* Smallest victim set (least-live first) that nets at least one freed
@@ -351,7 +365,7 @@ let pick_victims t =
         if n >= 2 && n_out < n && n_out <= t.nfree then List.rev acc
         else take acc bytes n rest
   in
-  take [] 0 0 sorted
+  take [] 0 0 (gc_candidates t)
 
 (* Plan greedy chunk batches for a value list; returns batches in order. *)
 let plan_batches t values =
@@ -539,6 +553,7 @@ let recover t ~couple =
       meta.slots <- [||];
       meta.valid <- [||];
       meta.live <- 0;
+      meta.live_padded <- 0;
       free := chunk :: !free;
       incr nfree
     end
@@ -547,12 +562,14 @@ let recover t ~couple =
       meta.slots <- slots;
       meta.valid <- Array.make (Array.length slots) false;
       meta.live <- 0;
+      meta.live_padded <- 0;
       Array.iteri
         (fun slot s ->
           let loc = Location.In_vs { vs = t.id; gen = 0; chunk; slot } in
           if couple ~hsit_id:s.backptr loc then begin
             meta.valid.(slot) <- true;
-            meta.live <- meta.live + 1
+            meta.live <- meta.live + 1;
+            meta.live_padded <- meta.live_padded + padded s.len
           end)
         slots;
       if meta.live = 0 then begin

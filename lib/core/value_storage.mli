@@ -124,6 +124,16 @@ val is_valid : t -> gen:int -> chunk:int -> slot:int -> bool
 
 val live_slots : t -> chunk:int -> int
 
+(** Live bytes of a chunk as garbage collection weighs it: the padded
+    record size (header plus 16-byte-aligned payload) summed over valid
+    slots. Kept incrementally, so reading it is O(1). *)
+val chunk_live_bytes : t -> chunk:int -> int
+
+(** Every sealed chunk as [(chunk_live_bytes, chunk)], least live first
+    (ties by chunk index): the order garbage collection takes victims
+    in. *)
+val gc_candidates : t -> (int * int) list
+
 (** [iter_valid t f] visits every currently valid slot with its backward
     pointer (residency audits in tests). *)
 val iter_valid :

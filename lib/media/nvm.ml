@@ -6,7 +6,8 @@ let line_size = 64
 type t = {
   volatile : Bytes.t;
   durable : Bytes.t;
-  dirty : (int, unit) Hashtbl.t;
+  dirty : Bytes.t;  (* one bit per line: written since last flushed *)
+  mutable ndirty : int;
   device : Model.t;
   cost : Cost.t;
   mutable allocated : int;
@@ -19,7 +20,8 @@ let create engine ?(cost = Cost.default) ~spec ~size () =
   {
     volatile = Bytes.make size '\000';
     durable = Bytes.make size '\000';
-    dirty = Hashtbl.create 1024;
+    dirty = Bytes.make ((((size + line_size - 1) / line_size) + 7) / 8) '\000';
+    ndirty = 0;
     device = Model.create engine spec;
     cost;
     allocated = 0;
@@ -42,8 +44,24 @@ let check t ~off ~len =
 let mark_dirty t ~off ~len =
   if len > 0 then
     for line = off / line_size to (off + len - 1) / line_size do
-      Hashtbl.replace t.dirty line ()
+      let i = line lsr 3 and bit = 1 lsl (line land 7) in
+      let b = Bytes.get_uint8 t.dirty i in
+      if b land bit = 0 then begin
+        Bytes.set_uint8 t.dirty i (b lor bit);
+        t.ndirty <- t.ndirty + 1
+      end
     done
+
+(* Clears the line's dirty bit; true when it was set. *)
+let clean_line t line =
+  let i = line lsr 3 and bit = 1 lsl (line land 7) in
+  let b = Bytes.get_uint8 t.dirty i in
+  if b land bit = 0 then false
+  else begin
+    Bytes.set_uint8 t.dirty i (b land lnot bit);
+    t.ndirty <- t.ndirty - 1;
+    true
+  end
 
 let read t ~off ~len =
   check t ~off ~len;
@@ -60,8 +78,7 @@ let write t ~off src =
 let flush_range t ~off ~len =
   if len > 0 then
     for line = off / line_size to (off + len - 1) / line_size do
-      if Hashtbl.mem t.dirty line then begin
-        Hashtbl.remove t.dirty line;
+      if clean_line t line then begin
         let start = line * line_size in
         let stop = min (start + line_size) (Bytes.length t.volatile) in
         Bytes.blit t.volatile start t.durable start (stop - start)
@@ -107,7 +124,8 @@ let atomic_rmw t off ~f =
 
 let crash t =
   Bytes.blit t.durable 0 t.volatile 0 (Bytes.length t.durable);
-  Hashtbl.reset t.dirty
+  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
+  t.ndirty <- 0
 
 let read_durable t ~off ~len =
   check t ~off ~len;
@@ -120,10 +138,10 @@ let restore t ~off src =
   Bytes.blit src 0 t.durable off len;
   if len > 0 then
     for line = off / line_size to (off + len - 1) / line_size do
-      Hashtbl.remove t.dirty line
+      ignore (clean_line t line)
     done
 
-let dirty_lines t = Hashtbl.length t.dirty
+let dirty_lines t = t.ndirty
 
 let persist_count t = t.persists
 
@@ -133,7 +151,6 @@ let device t = t.device
 
 let register_stats t stats ~prefix =
   Stats.gauge_int stats (prefix ^ ".persists") (fun () -> t.persists);
-  Stats.gauge_int stats (prefix ^ ".dirty_lines") (fun () ->
-      Hashtbl.length t.dirty);
+  Stats.gauge_int stats (prefix ^ ".dirty_lines") (fun () -> t.ndirty);
   Stats.gauge_int stats (prefix ^ ".allocated") (fun () -> t.allocated);
   Model.register_stats t.device stats ~prefix

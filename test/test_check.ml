@@ -1127,6 +1127,56 @@ let test_fleet_sweep_deterministic () =
         (Crash_sweep.run ~jobs cfg = serial))
     [ 2; 4 ]
 
+(* ---- deep decision trees ---- *)
+
+(* A synthetic run with 2,400 tie decisions and no simulator behind it.
+   Each tie set (2 or 3 alternatives, labels 0..7) is a pure function of
+   the picks that led to it, so replaying a prefix reproduces it, and
+   [dependent] leaves some pairs of labels independent, so persistent
+   sets and sleep sets are not trivial. Every run re-reaches depths in the
+   thousands, the shape under which copying each node's ancestor path
+   made a walk quadratic in depth. The digest of every class's choices
+   and of the run/pruned counts was pinned from the path-copying
+   explorer, for both frontier orders. *)
+let deep_depth = 2400
+
+let deep_run ~choose =
+  let h = ref 0x2545F491 in
+  for d = 0 to deep_depth - 1 do
+    let n = 2 + (!h land 1) in
+    let alts =
+      Array.init n (fun k ->
+          { Engine.seq = (d * 4) + k; label = (!h lsr (1 + (3 * k))) land 7 })
+    in
+    let p = choose alts in
+    h := ((!h * 0x9E3779B1) + (p * 7919) + d) land 0x3FFFFFFF;
+    h := !h lxor (!h lsr 13)
+  done;
+  !h
+
+let deep_dependent a b = a = 0 || b = 0 || a land b <> 0
+
+let deep_digest order =
+  let rep =
+    Dpor.explore ~order ~max_classes:50 ~dependent:deep_dependent deep_run
+  in
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%d %d %d;" rep.Dpor.explored rep.Dpor.runs
+    rep.Dpor.pruned;
+  List.iter
+    (fun c ->
+      Printf.bprintf b "%d/%d/%d:" c.Dpor.run c.Dpor.depth c.Dpor.result;
+      Array.iter (fun p -> Buffer.add_char b (Char.chr (48 + p))) c.Dpor.choices;
+      Buffer.add_char b ';')
+    rep.Dpor.classes;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_dpor_deep_tree () =
+  Alcotest.(check string) "frontier classes match pinned digest"
+    "cd117c517e78fc267acf04d73f735ada" (deep_digest `Frontier);
+  Alcotest.(check string) "deepest classes match pinned digest"
+    "c9a678869085c65976320fc88dd6a209" (deep_digest `Deepest)
+
 let test_dpor_mispredict_tail_deterministic () =
   (* Three lockstep writers on one key: every instant is a 3-way fully
      dependent tie set, so each committed run creates shallow frontier
@@ -1233,6 +1283,7 @@ let () =
           case "svc fault within budget" test_dpor_svc_budget;
           case "hsit fault within budget" test_dpor_hsit_budget;
           case "frontier spreads a truncated budget" test_dpor_frontier_spread;
+          case "2,400-deep tree matches pinned classes" test_dpor_deep_tree;
         ] );
       ( "scan-faults",
         [

@@ -594,6 +594,91 @@ let test_vs_recover_rebuilds () =
       | Some data -> Alcotest.check bytes_eq "data" (value ~size:300 1) data
       | None -> Alcotest.fail "unreadable")
 
+(* Property: the per-chunk live bytes Value Storage keeps incrementally
+   equal a recomputation from the valid slots, through random writes,
+   validity flips (current and stale generations), GC passes (which
+   relocate survivors and recycle victims) and recovery; and the GC
+   candidate order is the one [List.sort compare] gives on the
+   recomputed (live bytes, chunk) pairs. Each value's length is a
+   function of its backward pointer, so valid slots found by
+   [iter_valid] can be weighed without trusting the counters. *)
+let prop_vs_live_accounting =
+  let padded len = 16 + (((len + 15) / 16) * 16) in
+  let len_of hsit_id = 1 + (hsit_id * 7919 mod 3000) in
+  qcase ~count:100 "incremental live bytes match recomputation"
+    QCheck.(
+      list_of_size Gen.(10 -- 60)
+        (pair (int_bound 5) (triple small_nat small_nat bool)))
+    (fun ops ->
+      in_sim (fun e ->
+          let vs =
+            make_vs ~size:(8 * 16 * 1024) ~chunk_size:(16 * 1024)
+              ~gc_watermark:0.5 e
+          in
+          Value_storage.start_gc vs ~relocate:(fun ~hsit_id:_ ~from_:_ ~to_:_ ->
+              true);
+          let next_id = ref 1 in
+          let nchunks = Value_storage.nchunks vs in
+          let ok = ref true in
+          let check () =
+            let live = Array.make nchunks 0 in
+            Value_storage.iter_valid vs (fun ~gen:_ ~chunk ~slot:_ ~hsit_id ->
+                live.(chunk) <- live.(chunk) + padded (len_of hsit_id));
+            for chunk = 0 to nchunks - 1 do
+              if Value_storage.chunk_live_bytes vs ~chunk <> live.(chunk) then
+                ok := false
+            done;
+            let cands = Value_storage.gc_candidates vs in
+            let reference =
+              List.sort compare (List.map (fun (_, c) -> (live.(c), c)) cands)
+            in
+            if cands <> reference then ok := false
+          in
+          List.iter
+            (fun (kind, (a, b, flag)) ->
+              (match kind with
+              | 0 | 1 ->
+                  (* Write 1-5 values (at most 5 x 3,024 padded bytes, so
+                     they fit one chunk) into a fresh chunk, never one of
+                     the last free ones so nothing blocks, and validate
+                     some. *)
+                  if Value_storage.free_chunks vs >= 3 then begin
+                    let values =
+                      List.init (1 + (a mod 5)) (fun _ ->
+                          let id = !next_id in
+                          incr next_id;
+                          (id, value ~size:(len_of id) id))
+                    in
+                    let chunk, gen, done_ = Value_storage.write_chunk vs values in
+                    ignore (Sync.Ivar.read done_);
+                    List.iteri
+                      (fun slot _ ->
+                        if (b lsr slot) land 1 = 1 || flag then
+                          Value_storage.set_valid vs ~gen ~chunk ~slot true)
+                      values;
+                    Value_storage.seal vs ~chunk
+                  end
+              | 2 ->
+                  let chunk = a mod nchunks in
+                  let gen = Value_storage.chunk_gen vs ~chunk in
+                  Value_storage.set_valid vs ~gen ~chunk ~slot:(b mod 7) flag
+              | 3 ->
+                  (* Stale generation: must be a no-op. *)
+                  let chunk = a mod nchunks in
+                  let gen = Value_storage.chunk_gen vs ~chunk + 1 in
+                  Value_storage.set_valid vs ~gen ~chunk ~slot:(b mod 7) flag
+              | 4 ->
+                  Value_storage.poke_gc vs;
+                  Engine.delay 1.0
+              | _ ->
+                  Value_storage.recover vs ~couple:(fun ~hsit_id loc ->
+                      match loc with
+                      | Location.In_vs { slot; _ } -> (hsit_id + slot + a) mod 3 <> 0
+                      | _ -> false));
+              check ())
+            ops;
+          !ok))
+
 (* ---- Reclaimer ---- *)
 
 let with_reclaimer ?(pwb_size = 2048) ?(async = true) f =
@@ -850,6 +935,7 @@ let () =
           case "gc compacts" test_vs_gc_compacts;
           case "run entry coalesces" test_vs_run_entry_coalesces;
           case "recover" test_vs_recover_rebuilds;
+          prop_vs_live_accounting;
         ] );
       ( "reclaimer",
         [

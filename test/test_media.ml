@@ -196,6 +196,97 @@ let prop_nvm_crash_partition =
               acc && Bytes.equal (Nvm.read_durable nvm ~off ~len:8) data)
             expect true))
 
+let prop_nvm_dirty_set_model =
+  (* Random write / set_int64 / atomic_rmw / persist / crash / restore
+     sequences against a naive model that keeps one flag per 64-byte
+     line. The region (1,572 bytes: 25 lines, the last one partial and
+     alone in the last byte of the dirty bitmap) spans several bitmap
+     bytes, and half the ranges are
+     pulled onto line and bitmap-byte boundaries so they straddle them.
+     After every step the dirty-line count and both images must match
+     the model. *)
+  let size = (3 * 512) + 36 in
+  let line = 64 in
+  let anchors = [| 0; 63; 64; 448; 511; 512; 575; 1023; 1024; 1535; 1536; size - 1 |] in
+  qcase ~count:300 "dirty set matches per-line model"
+    QCheck.(small_list (pair (int_bound 6) (triple (int_bound (size - 1)) (int_bound 200) bool)))
+    (fun ops ->
+      in_sim (fun e ->
+          let nvm = Nvm.create e ~spec:Spec.optane_dcpmm ~size () in
+          let vol = Bytes.make size '\000' in
+          let dur = Bytes.make size '\000' in
+          let dirty = Array.make ((size + line - 1) / line) false in
+          let mark off len =
+            if len > 0 then
+              for l = off / line to (off + len - 1) / line do
+                dirty.(l) <- true
+              done
+          in
+          let flush off len =
+            if len > 0 then
+              for l = off / line to (off + len - 1) / line do
+                if dirty.(l) then begin
+                  dirty.(l) <- false;
+                  let start = l * line in
+                  let n = min line (size - start) in
+                  Bytes.blit vol start dur start n
+                end
+              done
+          in
+          let ok = ref true in
+          List.iteri
+            (fun i (kind, (off, len, snap)) ->
+              let off =
+                if snap then
+                  max 0 (anchors.(off mod Array.length anchors) - (len / 2))
+                else off
+              in
+              let len = min len (size - off) in
+              let fill = Bytes.make len (Char.chr (65 + (i mod 26))) in
+              (match kind with
+              | 0 | 1 ->
+                  Nvm.write nvm ~off fill;
+                  Bytes.blit fill 0 vol off len;
+                  mark off len
+              | 2 ->
+                  Nvm.persist nvm ~off ~len;
+                  flush off len
+              | 3 ->
+                  let off = min off (size - 8) in
+                  let w = Int64.of_int i in
+                  Nvm.set_int64 nvm off w ~persist:snap;
+                  Bytes.set_int64_le vol off w;
+                  mark off 8;
+                  if snap then flush off 8
+              | 4 ->
+                  let off = min off (size - 8) in
+                  ignore (Nvm.atomic_rmw nvm off ~f:(fun w -> Some (Int64.succ w)));
+                  Bytes.set_int64_le vol off
+                    (Int64.succ (Bytes.get_int64_le vol off));
+                  mark off 8
+              | 5 ->
+                  Nvm.crash nvm;
+                  Bytes.blit dur 0 vol 0 size;
+                  Array.fill dirty 0 (Array.length dirty) false
+              | _ ->
+                  Nvm.restore nvm ~off fill;
+                  Bytes.blit fill 0 vol off len;
+                  Bytes.blit fill 0 dur off len;
+                  if len > 0 then
+                    for l = off / line to (off + len - 1) / line do
+                      dirty.(l) <- false
+                    done);
+              let ndirty =
+                Array.fold_left (fun n d -> if d then n + 1 else n) 0 dirty
+              in
+              if
+                Nvm.dirty_lines nvm <> ndirty
+                || not (Bytes.equal (Nvm.read_durable nvm ~off:0 ~len:size) dur)
+                || not (Bytes.equal (Nvm.read nvm ~off:0 ~len:size) vol)
+              then ok := false)
+            ops;
+          !ok))
+
 (* ---- Ssd_image ---- *)
 
 let test_image_roundtrip () =
@@ -242,6 +333,7 @@ let () =
           case "dirty tracking" test_nvm_dirty_lines_tracking;
           case "rewrite after persist" test_nvm_rewrite_after_persist;
           prop_nvm_crash_partition;
+          prop_nvm_dirty_set_model;
         ] );
       ( "nvm-atomic",
         [
