@@ -101,36 +101,11 @@ let run_cell cfg ~shards =
     }
   in
   let cluster, base_kv = Prism_cluster.Cluster.of_scenario e ccfg s in
-  (* Mirror prism_ycsb --txn-every: every K-th put carries two extra
-     uniform-random keys through Cluster.batch, so the measured phase
-     commits cross-shard transactions at a fixed rate. *)
-  let base_kv =
-    if cfg.txn_every <= 0 then base_kv
-    else begin
-      let count = ref 0 in
-      let rng = Rng.create (Int64.add cfg.seed 0x7cL) in
-      {
-        base_kv with
-        Kv.put =
-          (fun ~tid key value ->
-            incr count;
-            if !count mod cfg.txn_every = 0 then
-              let extras =
-                List.init 2 (fun _ ->
-                    (Ycsb.key_of (Rng.int rng cfg.records), value))
-              in
-              match
-                Prism_cluster.Cluster.batch cluster ~tid
-                  ((key, value) :: extras)
-              with
-              | Prism_cluster.Cluster.Committed
-              | Prism_cluster.Cluster.Aborted ->
-                  ()
-            else base_kv.Kv.put ~tid key value);
-      }
-    end
+  let kv =
+    Kv.instrument e
+      (Prism_cluster.Cluster.with_batches cluster base_kv ~every:cfg.txn_every
+         ~records:cfg.records ~seed:cfg.seed)
   in
-  let kv = Kv.instrument e base_kv in
   ignore
     (Runner.load e kv ~threads:cfg.threads ~records:cfg.records
        ~value_size:cfg.value_size ~seed:cfg.seed);
@@ -235,33 +210,38 @@ let print_verdict cfg points =
 (* JSON export                                                       *)
 (* ---------------------------------------------------------------- *)
 
-(* Hand-rolled like Stats.to_json: fixed field order, fixed float
-   formats, so the same seed writes byte-identical output. *)
 let json_of_points cfg points =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"schema\": \"prism-cluster-v1\",\n";
-  add "  \"seed\": %Ld,\n" cfg.seed;
-  add "  \"mix\": %S,\n" cfg.mix.Ycsb.name;
-  add "  \"records\": %d,\n" cfg.records;
-  add "  \"value_size\": %d,\n" cfg.value_size;
-  add "  \"threads\": %d,\n" cfg.threads;
-  add "  \"theta\": %.4f,\n" cfg.theta;
-  add "  \"ops\": %d,\n" cfg.ops;
-  add "  \"txn_every\": %d,\n" cfg.txn_every;
-  add "  \"points\": [";
-  List.iteri
-    (fun i c ->
-      if i > 0 then add ",";
-      add "\n    { \"shards\": %d, \"kops\": %.3f" c.shards c.kops;
-      add ", \"p50_us\": %.3f, \"p99_us\": %.3f" c.p50_us c.p99_us;
-      add ", \"txn_commits\": %d, \"txn_aborts\": %d" c.commits c.aborts;
-      add ", \"txn_prepares\": %d, \"ops_routed\": %d" c.prepares c.routed;
-      add ", \"net_msgs\": %d, \"net_bytes\": %d }" c.net_msgs c.net_bytes)
-    points;
-  add "\n  ]\n}\n";
-  Buffer.contents b
+  let open Json in
+  Obj
+    [
+      ("schema", String "prism-cluster-v1");
+      ("seed", Int64 cfg.seed);
+      ("mix", String cfg.mix.Ycsb.name);
+      ("records", Int cfg.records);
+      ("value_size", Int cfg.value_size);
+      ("threads", Int cfg.threads);
+      ("theta", Fixed (4, cfg.theta));
+      ("ops", Int cfg.ops);
+      ("txn_every", Int cfg.txn_every);
+      ( "points",
+        List
+          (List.map
+             (fun c ->
+               Obj
+                 [
+                   ("shards", Int c.shards);
+                   ("kops", Fixed (3, c.kops));
+                   ("p50_us", Fixed (3, c.p50_us));
+                   ("p99_us", Fixed (3, c.p99_us));
+                   ("txn_commits", Int c.commits);
+                   ("txn_aborts", Int c.aborts);
+                   ("txn_prepares", Int c.prepares);
+                   ("ops_routed", Int c.routed);
+                   ("net_msgs", Int c.net_msgs);
+                   ("net_bytes", Int c.net_bytes);
+                 ])
+             points) );
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* CLI                                                               *)
@@ -269,16 +249,9 @@ let json_of_points cfg points =
 
 let () =
   let open Cmdliner in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI-sized sweep: 2 shard counts, smaller run")
-  in
+  let quick = Cli.quick ~doc:"CI-sized sweep: 2 shard counts, smaller run" in
   let shard_counts =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "shard-counts" ] ~doc:"Comma-separated shard counts")
+    Cli.override Arg.(list int) "shard-counts" "Comma-separated shard counts"
   in
   let txn_every =
     Arg.(
@@ -287,64 +260,17 @@ let () =
       & info [ "txn-every" ] ~docv:"K"
           ~doc:"Every $(docv)-th put becomes a 3-key 2PC batch; 0 disables")
   in
-  let mix =
-    Arg.(
-      value & opt string "a"
-      & info [ "mix" ] ~doc:"Workload mix: a|b|c|d|e|nutanix")
-  in
-  let records =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "records" ] ~doc:"Dataset size in keys")
-  in
-  let ops =
-    Arg.(
-      value & opt (some int) None & info [ "ops" ] ~doc:"Operations per cell")
-  in
-  let threads =
-    Arg.(
-      value & opt (some int) None & info [ "threads" ] ~doc:"Client threads")
-  in
-  let seed =
-    Arg.(value & opt int64 0xC0FFEEL & info [ "seed" ] ~doc:"Sweep seed")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~doc:"Write the sweep as JSON to $(docv)" ~docv:"FILE")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains running sweep cells. Output is byte-identical \
-             for any $(docv); 0 means one per core.")
-  in
+  let records = Cli.override Arg.int "records" "Dataset size in keys" in
+  let ops = Cli.override Arg.int "ops" "Operations per cell" in
+  let threads = Cli.override Arg.int "threads" "Client threads" in
+  let json = Cli.json ~doc:"Write the sweep as JSON to $(docv)" in
   let main quick shard_counts txn_every mix records ops threads seed json jobs
       =
     let base = if quick then quick_config else default_config in
-    let mix =
-      match
-        List.find_opt
-          (fun m ->
-            String.lowercase_ascii m.Ycsb.name = String.lowercase_ascii mix)
-          (Ycsb.all_ycsb @ [ Ycsb.nutanix ])
-      with
-      | Some m -> m
-      | None -> failwith ("unknown mix: " ^ mix)
-    in
     let cfg =
       {
         base with
-        shard_counts =
-          (match shard_counts with
-          | Some s ->
-              String.split_on_char ',' s
-              |> List.map (fun x -> int_of_string (String.trim x))
-          | None -> base.shard_counts);
+        shard_counts = Option.value shard_counts ~default:base.shard_counts;
         txn_every = Option.value txn_every ~default:base.txn_every;
         mix;
         records = Option.value records ~default:base.records;
@@ -360,19 +286,15 @@ let () =
           ops/cell, txn every %d"
          cfg.mix.Ycsb.name cfg.records cfg.value_size cfg.threads cfg.ops
          cfg.txn_every);
-    let jobs =
-      if jobs = 0 then Prism_fleet.Fleet.default_jobs () else max 1 jobs
-    in
     let points = run_points cfg ~jobs in
     print_table points;
     print_verdict cfg points;
-    (match json with
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (json_of_points cfg points);
-        close_out oc;
-        pf "\nwrote cluster sweep to %s\n" path
-    | None -> ());
+    Option.iter
+      (fun path ->
+        pf "\n";
+        Cli.save ~what:"cluster sweep" path
+          (Json.pretty (json_of_points cfg points)))
+      json;
     pf "\nSweep done in %.1fs wall.\n" (Unix.gettimeofday () -. t0)
   in
   let cmd =
@@ -380,7 +302,8 @@ let () =
       (Cmd.info "prism-cluster-sweep"
          ~doc:"Shard-scaling sweep of the 2PC Prism cluster")
       Term.(
-        const main $ quick $ shard_counts $ txn_every $ mix $ records $ ops
-        $ threads $ seed $ json $ jobs)
+        const main $ quick $ shard_counts $ txn_every
+        $ Cli.mix ~default:Ycsb.ycsb_a $ records $ ops $ threads $ Cli.seed
+        $ json $ Cli.jobs ~what:"sweep cells")
   in
   exit (Cmd.eval cmd)

@@ -4,8 +4,7 @@
    Usage:
      bench/main.exe                 run every experiment (small scale)
      bench/main.exe --exp fig7      run one experiment
-     bench/main.exe --scale full    larger datasets (slower, sharper)
-     bench/main.exe --micro         Bechamel real-time microbenchmarks *)
+     bench/main.exe --scale full    larger datasets (slower, sharper) *)
 
 open Prism_sim
 open Prism_harness
@@ -73,7 +72,7 @@ let stats_requested = ref false
 
 let stats_json_path : string option ref = ref None
 
-let collected_stats : (string * string) list ref = ref []
+let collected_stats : (string * Json.t) list ref = ref []
 
 (* Harvesting is split so fleet cells can capture the registry on the
    worker and the coordinator can emit it in deterministic cell order. *)
@@ -94,18 +93,13 @@ let write_collected_stats () =
   match !stats_json_path with
   | None -> ()
   | Some path ->
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf "{";
-      List.iteri
-        (fun i (label, json) ->
-          if i > 0 then Buffer.add_string buf ",";
-          Buffer.add_string buf (Printf.sprintf "\n%S: %s" label json))
-        (List.rev !collected_stats);
-      Buffer.add_string buf "\n}\n";
-      let oc = open_out path in
-      Buffer.output_buffer oc buf;
-      close_out oc;
-      pf "wrote metric registries to %s\n" path
+      (* One registry per line, keyed by run label. *)
+      Cli.save ~what:"metric registries" path
+        (Json.pretty ~indent:0
+           (Json.Obj
+              (List.rev_map
+                 (fun (label, json) -> (label, Json.Compact json))
+                 !collected_stats)))
 
 (* Run LOAD then the listed mixes against one store; returns
    (load_result, per-mix results). *)
@@ -1004,97 +998,6 @@ let recovery () =
     ]
 
 (* ---------------------------------------------------------------- *)
-(* Bechamel microbenchmarks (real time)                               *)
-(* ---------------------------------------------------------------- *)
-
-let micro () =
-  Report.section "Bechamel microbenchmarks (real CPU time of dominant code paths)";
-  let open Bechamel in
-  let open Toolkit in
-  (* One Test.make per table/figure family, measuring the code path that
-     dominates that experiment. *)
-  let prep_btree () =
-    let t = Prism_index.Btree.create ~on_access:(fun _ _ -> ()) () in
-    for i = 0 to 9_999 do
-      ignore (Prism_index.Btree.insert t (Ycsb.key_of i) i)
-    done;
-    t
-  in
-  let btree = prep_btree () in
-  let counter = ref 0 in
-  let zipf = Zipfian.create ~items:100_000 ~theta:0.99 (Rng.create 1L) in
-  let skiplist = Prism_index.Skiplist.create ~rng:(Rng.create 2L) () in
-  let bloom = Prism_index.Bloom.create ~expected_entries:10_000 () in
-  for i = 0 to 9_999 do
-    Prism_index.Bloom.add bloom (Ycsb.key_of i)
-  done;
-  let hist = Hist.create () in
-  let tests =
-    [
-      (* fig7/table3: the per-op hot path is an index lookup. *)
-      Test.make ~name:"fig7:index-lookup"
-        (Staged.stage (fun () ->
-             incr counter;
-             ignore (Prism_index.Btree.find btree (Ycsb.key_of (!counter mod 10_000)))));
-      (* fig9/fig12: workload generation cost. *)
-      Test.make ~name:"fig9:zipfian-draw"
-        (Staged.stage (fun () -> ignore (Zipfian.next_scrambled zipf)));
-      (* fig8/table4: LSM memtable insert (skiplist). *)
-      Test.make ~name:"fig8:skiplist-insert"
-        (Staged.stage (fun () ->
-             incr counter;
-             ignore
-               (Prism_index.Skiplist.insert skiplist
-                  (Ycsb.key_of (!counter mod 50_000))
-                  !counter)));
-      (* fig7 read path: bloom filter probe. *)
-      Test.make ~name:"fig7:bloom-probe"
-        (Staged.stage (fun () ->
-             incr counter;
-             ignore (Prism_index.Bloom.mem bloom (Ycsb.key_of (!counter mod 20_000)))));
-      (* table3/table4: latency recording. *)
-      Test.make ~name:"table3:hist-record"
-        (Staged.stage (fun () ->
-             incr counter;
-             Hist.record hist (!counter land 0xFFFFF)));
-      (* location word packing (every HSIT update). *)
-      Test.make ~name:"fig11:location-encode"
-        (Staged.stage (fun () ->
-             incr counter;
-             ignore
-               (Prism_core.Location.encode
-                  (Prism_core.Location.In_vs
-                     { vs = 1; gen = !counter land 0xFFFF; chunk = 7; slot = 3 })
-                  ~dirty:false)));
-      (* fig16: simulator event dispatch cost bounds every experiment. *)
-      Test.make ~name:"fig16:engine-event"
-        (Staged.stage (fun () ->
-             let e = Engine.create () in
-             Engine.spawn e (fun () -> Engine.delay 1e-9);
-             ignore (Engine.run e)));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let results =
-        Bechamel.Benchmark.all
-          (Benchmark.cfg ~limit:300 ~quota:(Time.second 0.3) ())
-          [ Instance.monotonic_clock ]
-          test
-      in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> pf "  %-24s %10.1f ns/run\n" name est
-          | _ -> pf "  %-24s (no estimate)\n" name)
-        analyzed)
-    tests
-
-(* ---------------------------------------------------------------- *)
 (* Driver                                                             *)
 (* ---------------------------------------------------------------- *)
 
@@ -1121,14 +1024,8 @@ let experiments =
     ("recovery", recovery);
   ]
 
-let run_experiments names with_micro =
+let run_experiments names =
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun name ->
-      if not (List.mem_assoc name experiments) then
-        pf "warning: unknown experiment %S (available: %s)\n" name
-          (String.concat " " (List.map fst experiments)))
-    names;
   List.iter
     (fun (name, f) ->
       if names = [] || List.mem name names then begin
@@ -1137,20 +1034,20 @@ let run_experiments names with_micro =
         pf "[%s finished in %.1fs wall]\n%!" name (Unix.gettimeofday () -. t)
       end)
     experiments;
-  if with_micro then micro ();
   write_collected_stats ();
   pf "\nAll experiments done in %.1fs wall.\n" (Unix.gettimeofday () -. t0)
 
 let () =
   let open Cmdliner in
+  let known = String.concat " " (List.map fst experiments) in
   let exp =
-    Arg.(value & opt_all string [] & info [ "exp" ] ~doc:"Run one experiment (repeatable). Available: fig1 fig7 fig8 fig9 fig10a fig10b fig11 fig12 fig13 fig15 fig16 fig17 ablation nvmspace recovery")
+    Arg.(
+      value & opt_all string []
+      & info [ "exp" ]
+          ~doc:("Run one experiment (repeatable). Available: " ^ known))
   in
   let scale =
     Arg.(value & opt string "small" & info [ "scale" ] ~doc:"small or full")
-  in
-  let with_micro =
-    Arg.(value & flag & info [ "micro" ] ~doc:"Also run Bechamel microbenchmarks")
   in
   let stats =
     Arg.(
@@ -1168,40 +1065,28 @@ let () =
              JSON object keyed by run label"
           ~docv:"FILE")
   in
-  let gc_tune =
-    Arg.(
-      value & flag
-      & info [ "gc-tune" ]
-          ~doc:
-            "Tune the host GC for simulation workloads (large minor heap); \
-             wall-clock only, virtual-time results are unaffected")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ]
-          ~doc:
-            "Fleet lanes for the independent-cell experiments (fig7, fig9, \
-             fig12). Output is byte-identical for any $(docv); 0 means one \
-             per core"
-          ~docv:"N")
-  in
-  let main exp scale with_micro stats stats_json gc_tune j =
+  let main exp scale stats stats_json () j =
+    List.iter
+      (fun name ->
+        if not (List.mem_assoc name experiments) then
+          Cli.usage_error
+            (Printf.sprintf "unknown experiment %S (available: %s)" name known))
+      exp;
     (match scale with
     | "full" -> scenario := full_scenario
     | "small" -> scenario := small_scenario
-    | other -> failwith ("unknown scale: " ^ other));
-    if gc_tune then Setup.gc_tune ();
+    | other -> Cli.usage_error ("unknown scale: " ^ other));
     stats_requested := stats;
     stats_json_path := stats_json;
-    jobs := (if j = 0 then Prism_fleet.Fleet.default_jobs () else max 1 j);
-    run_experiments exp with_micro
+    jobs := j;
+    run_experiments exp
   in
   let cmd =
     Cmd.v
       (Cmd.info "prism-bench" ~doc:"Regenerate the paper's tables and figures")
       Term.(
-        const main $ exp $ scale $ with_micro $ stats $ stats_json $ gc_tune
-        $ jobs_arg)
+        const main $ exp $ scale $ stats $ stats_json $ Cli.gc_tune
+        $ Cli.jobs
+            ~what:"the independent-cell experiments (fig7, fig9, fig12)")
   in
   exit (Cmd.eval cmd)

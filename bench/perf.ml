@@ -12,7 +12,8 @@
                                                    BENCH_sim.json)
      dune exec bench/perf.exe -- --baseline FILE   fail (exit 1) if a
                                                    gated rate drops >30%
-                                                   below FILE's value
+                                                   below FILE's value, or
+                                                   a gated key is missing
      dune exec bench/perf.exe -- --gc-tune         large minor heap
 
    Every metric key in the JSON is globally unique, so the baseline gate
@@ -228,6 +229,53 @@ let bench_instrument ~ops ~reps =
   in
   report "kv.instrument" (measure ~reps ~ops run)
 
+(* The index and location paths under each op: a B+-tree lookup (Prism's
+   Key Index), a skiplist insert (the LSM memtable), a bloom probe (the
+   LSM read path, half of them misses) and Location.encode (every HSIT
+   update). Keys are built before timing, so only the structure is
+   measured. *)
+let bench_index ~ops ~reps =
+  let open Prism_index in
+  let keys = Array.init 50_000 Ycsb.key_of in
+  let acc = ref 0 in
+  let btree = Btree.create ~on_access:(fun _ _ -> ()) () in
+  for i = 0 to 9_999 do
+    ignore (Btree.insert btree keys.(i) i)
+  done;
+  report "btree.find"
+    (measure ~reps ~ops (fun () ->
+         for i = 1 to ops do
+           match Btree.find btree keys.(i mod 10_000) with
+           | Some v -> acc := !acc + v
+           | None -> ()
+         done));
+  let skiplist = Skiplist.create ~rng:(Rng.create 2L) () in
+  report "skiplist.insert"
+    (measure ~reps ~ops (fun () ->
+         for i = 1 to ops do
+           acc := !acc + Skiplist.insert skiplist keys.(i mod 50_000) i
+         done));
+  let bloom = Bloom.create ~expected_entries:10_000 () in
+  for i = 0 to 9_999 do
+    Bloom.add bloom keys.(i)
+  done;
+  report "bloom.mem"
+    (measure ~reps ~ops (fun () ->
+         for i = 1 to ops do
+           if Bloom.mem bloom keys.(i mod 20_000) then incr acc
+         done));
+  report "location.encode"
+    (measure ~reps ~ops (fun () ->
+         for i = 1 to ops do
+           let loc =
+             Prism_core.Location.In_vs
+               { vs = 1; gen = i land 0xFFFF; chunk = 7; slot = 3 }
+           in
+           acc :=
+             !acc lxor Int64.to_int (Prism_core.Location.encode loc ~dirty:false)
+         done));
+  ignore !acc
+
 (* ---------------------------------------------------------------- *)
 (* Fleet benchmarks                                                  *)
 (* ---------------------------------------------------------------- *)
@@ -304,25 +352,16 @@ let bench_stores ~quick ~reps =
       ops = (if quick then 8_000 else 20_000);
     }
   in
-  let makers =
-    [
-      ("store.prism", fun e -> fst (Setup.prism e s));
-      ("store.kvell", fun e -> Setup.kvell e s);
-    ]
-    @
-    if quick then []
-    else
-      [
-        ("store.matrixkv", fun e -> Setup.matrixkv e s);
-        ("store.rocksdb-nvm", fun e -> Setup.rocksdb_nvm e s);
-      ]
+  let stores =
+    [ "prism"; "kvell" ] @ if quick then [] else [ "matrixkv"; "rocksdb-nvm" ]
   in
   List.iter
-    (fun (name, make) ->
+    (fun name ->
+      let build = Cli.store name in
       let total_ops = s.Setup.records + s.Setup.ops in
       let run () =
         let e = Engine.create () in
-        let kv = make e in
+        let kv = build e s in
         ignore
           (Runner.load e kv ~threads:s.Setup.threads ~records:s.Setup.records
              ~value_size:s.Setup.value_size ~seed:s.Setup.seed);
@@ -331,8 +370,8 @@ let bench_stores ~quick ~reps =
              ~records:s.Setup.records ~ops:s.Setup.ops ~theta:s.Setup.theta
              ~value_size:s.Setup.value_size ~seed:s.Setup.seed)
       in
-      report name (measure ~reps ~ops:total_ops run))
-    makers
+      report ("store." ^ name) (measure ~reps ~ops:total_ops run))
+    stores
 
 (* ---------------------------------------------------------------- *)
 (* JSON report + baseline gate                                       *)
@@ -346,24 +385,23 @@ let json_key name suffix =
   Buffer.contents b ^ "_" ^ suffix
 
 let write_json path ~quick =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"prism-bench-sim-v1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"quick\": %b" quick);
-  List.iter
-    (fun (name, s) ->
-      Buffer.add_string b
-        (Printf.sprintf ",\n  %S: %.1f" (json_key name "per_sec") s.rate);
-      Buffer.add_string b
-        (Printf.sprintf ",\n  %S: %.3f"
-           (json_key name "minor_words_per_op")
-           s.minor_words_per_op))
-    (List.rev !results);
-  Buffer.add_string b "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  pf "\nwrote %s\n" path
+  let rows =
+    List.concat_map
+      (fun (name, s) ->
+        [
+          (json_key name "per_sec", Json.Fixed (1, s.rate));
+          ( json_key name "minor_words_per_op",
+            Json.Fixed (3, s.minor_words_per_op) );
+        ])
+      (List.rev !results)
+  in
+  pf "\n";
+  Cli.save path
+    (Json.pretty
+       (Json.Obj
+          (("schema", Json.String "prism-bench-sim-v1")
+          :: ("quick", Json.Bool quick)
+          :: rows)))
 
 (* The committed baseline has globally unique keys, so a plain substring
    scan suffices — no JSON library in the dependency cone. *)
@@ -418,25 +456,27 @@ let gated_keys () =
        [ "fleet_speedup_per_sec" ]
      else [])
 
+(* A gated key missing from the baseline or from this run fails the gate:
+   a renamed or dropped row must not silently stop being gated. *)
 let check_baseline path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
+  let text = In_channel.with_open_bin path In_channel.input_all in
   let failed = ref false in
   List.iter
     (fun key ->
       match scan_number ~key text with
-      | None -> pf "baseline %s: key %s absent, skipping\n" path key
+      | None ->
+          failed := true;
+          pf "baseline gate FAILED: key %s absent from %s\n" key path
       | Some base -> (
-          let name_prefix = String.sub key 0 (String.length key - String.length "_per_sec") in
           let current =
             List.find_opt
               (fun (name, _) -> json_key name "per_sec" = key)
               !results
           in
           match current with
-          | None -> pf "baseline gate: %s not measured this run\n" name_prefix
+          | None ->
+              failed := true;
+              pf "baseline gate FAILED: %s not measured this run\n" key
           | Some (_, s) ->
               let floor = 0.7 *. base in
               if s.rate < floor then begin
@@ -458,11 +498,7 @@ let check_baseline path =
 
 let () =
   let open Cmdliner in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI-sized run: fewer ops, fewer repetitions")
-  in
+  let quick = Cli.quick ~doc:"CI-sized run: fewer ops, fewer repetitions" in
   let out =
     Arg.(
       value & opt string "BENCH_sim.json"
@@ -475,17 +511,11 @@ let () =
       & info [ "baseline" ]
           ~doc:
             "Compare against $(docv); exit 1 if a gated rate drops more \
-             than 30% below it"
+             than 30% below it, or a gated key is missing from $(docv) or \
+             from the run"
           ~docv:"FILE")
   in
-  let gc_tune =
-    Arg.(
-      value & flag
-      & info [ "gc-tune" ]
-          ~doc:"Tune the host GC before measuring (large minor heap)")
-  in
-  let main quick out baseline gc_tune =
-    if gc_tune then Setup.gc_tune ();
+  let main quick out baseline () =
     let engine_ops = if quick then 500_000 else 2_000_000 in
     let comp_ops = if quick then 1_000_000 else 4_000_000 in
     let reps = if quick then 2 else 3 in
@@ -499,6 +529,7 @@ let () =
     bench_zipfian ~ops:comp_ops ~reps;
     bench_arrival ~ops:comp_ops ~reps;
     bench_instrument ~ops:comp_ops ~reps;
+    bench_index ~ops:engine_ops ~reps;
     bench_fleet ~quick ~reps;
     bench_stores ~quick ~reps;
     write_json out ~quick;
@@ -508,6 +539,6 @@ let () =
     Cmd.v
       (Cmd.info "prism-perf"
          ~doc:"Wall-clock microbenchmarks of the simulation engine")
-      Term.(const main $ quick $ out $ baseline $ gc_tune)
+      Term.(const main $ quick $ out $ baseline $ Cli.gc_tune)
   in
   exit (Cmd.eval cmd)

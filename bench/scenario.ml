@@ -65,37 +65,15 @@ let quick_config =
     cal_ops = 5_000;
   }
 
-let store_maker cfg name =
-  let s =
-    {
-      Setup.default_scenario with
-      records = cfg.records;
-      value_size = cfg.value_size;
-      threads = cfg.servers;
-      theta = cfg.theta;
-      seed = cfg.seed;
-    }
-  in
-  match String.lowercase_ascii name with
-  | "prism" -> (fun e -> fst (Setup.prism e s))
-  | "prism-hotness" -> (fun e -> fst (Setup.prism_hotness e s))
-  | "kvell" -> (fun e -> Setup.kvell e s)
-  | "matrixkv" -> (fun e -> Setup.matrixkv e s)
-  | "rocksdb-nvm" | "rocksdb" -> (fun e -> Setup.rocksdb_nvm e s)
-  | other -> failwith ("unknown store: " ^ other)
-
-let calibrate cfg make =
-  let e = Engine.create () in
-  let kv = Kv.instrument e (make e) in
-  ignore
-    (Runner.load e kv ~threads:cfg.servers ~records:cfg.records
-       ~value_size:cfg.value_size ~seed:cfg.seed);
-  let r =
-    Runner.run e kv Prism_workload.Ycsb.ycsb_b ~threads:cfg.servers
-      ~records:cfg.records ~ops:cfg.cal_ops ~theta:cfg.theta
-      ~value_size:cfg.value_size ~seed:cfg.seed
-  in
-  r.Runner.kops *. 1e3
+let scenario cfg =
+  {
+    Setup.default_scenario with
+    records = cfg.records;
+    value_size = cfg.value_size;
+    threads = cfg.servers;
+    theta = cfg.theta;
+    seed = cfg.seed;
+  }
 
 (* ---------------------------------------------------------------- *)
 (* One (scenario, store) run                                         *)
@@ -113,14 +91,15 @@ type run = {
 
 let run_pass r = Assertion.passed r.verdicts
 
-let run_one cfg ~ename ~store =
-  let entry =
-    match Library.find ename with
-    | Some e -> e
-    | None -> failwith ("unknown scenario: " ^ ename)
+let run_one cfg (entry : Library.entry) ~store build =
+  let ename = entry.Library.ename in
+  let make e = build e (scenario cfg) in
+  let capacity =
+    (Runner.calibrate make Prism_workload.Ycsb.ycsb_b ~threads:cfg.servers
+       ~records:cfg.records ~ops:cfg.cal_ops ~theta:cfg.theta
+       ~value_size:cfg.value_size ~seed:cfg.seed)
+      .Runner.kops *. 1e3
   in
-  let make = store_maker cfg store in
-  let capacity = calibrate cfg make in
   (* Scale the unit phase length so the whole scenario offers ~ops
      arrivals at this store's capacity. Durations (and ramps, and
      assertion windows) are all multiples of dur, so expected arrivals
@@ -212,72 +191,71 @@ let print_run r =
 (* JSON export                                                       *)
 (* ---------------------------------------------------------------- *)
 
-(* Hand-rolled like bench/sweep: fixed field order, fixed float formats,
-   so the same seed writes byte-identical output. *)
 let json_of_runs cfg runs =
-  let b = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"schema\": \"prism-scenario-v1\",\n";
-  add "  \"seed\": %Ld,\n" cfg.seed;
-  add "  \"records\": %d,\n" cfg.records;
-  add "  \"value_size\": %d,\n" cfg.value_size;
-  add "  \"servers\": %d,\n" cfg.servers;
-  add "  \"ops_budget\": %d,\n" cfg.ops;
-  add "  \"policy\": %S,\n" cfg.policy;
-  add "  \"runs\": [";
-  List.iteri
-    (fun i r ->
-      let o = r.outcome in
-      if i > 0 then add ",";
-      add "\n    {\n";
-      add "      \"scenario\": %S,\n" r.scenario_name;
-      add "      \"store\": %S,\n" r.store_name;
-      add "      \"policy\": %S,\n" o.Scenario.policy;
-      add "      \"capacity_per_sec\": %.1f,\n" r.capacity;
-      add "      \"unit_dur_s\": %.6f,\n" r.dur;
-      add "      \"window_s\": %.6f,\n" o.Scenario.interval;
-      add "      \"offered\": %d,\n" o.Scenario.offered;
-      add "      \"accepted\": %d,\n" o.Scenario.accepted;
-      add "      \"shed_admission\": %d,\n" o.Scenario.shed_admission;
-      add "      \"shed_dequeue\": %d,\n" o.Scenario.shed_dequeue;
-      add "      \"completed\": %d,\n" o.Scenario.completed;
-      add "      \"phases\": [";
-      Array.iteri
-        (fun j ps ->
-          if j > 0 then add ",";
-          add "\n        { \"name\": %S" ps.Scenario.ps_name;
-          add ", \"start_s\": %.6f" ps.Scenario.ps_start;
-          add ", \"end_s\": %.6f" ps.Scenario.ps_end;
-          add ", \"offered\": %d" ps.Scenario.ps_offered;
-          add ", \"accepted\": %d" ps.Scenario.ps_accepted;
-          add ", \"shed_admission\": %d" ps.Scenario.ps_shed_admission;
-          add ", \"shed_dequeue\": %d" ps.Scenario.ps_shed_dequeue;
-          add ", \"completed\": %d" ps.Scenario.ps_completed;
-          add ", \"p50_us\": %.3f" (qs ps.Scenario.ps_sojourn 50.0);
-          add ", \"p99_us\": %.3f" (qs ps.Scenario.ps_sojourn 99.0);
-          add " }")
-        o.Scenario.phases;
-      add "\n      ],\n";
-      add "      \"assertions\": [";
-      List.iteri
-        (fun j ((c : Assertion.t), (v : Assertion.verdict)) ->
-          if j > 0 then add ",";
-          add "\n        { \"label\": %S" v.Assertion.v_label;
-          add ", \"phase\": %S" c.Assertion.phase;
-          add ", \"series\": %S" (Assertion.series_name c.Assertion.series);
-          add ", \"pass\": %b" v.Assertion.v_pass;
-          add ", \"detail\": %S" v.Assertion.v_detail;
-          add " }")
-        (List.combine r.checks r.verdicts);
-      add "\n      ],\n";
-      add "      \"pass\": %b\n" (run_pass r);
-      add "    }")
-    runs;
-  add "\n  ],\n";
-  add "  \"pass\": %b\n" (List.for_all run_pass runs);
-  add "}\n";
-  Buffer.contents b
+  let open Json in
+  let us x = Fixed (3, x) and secs x = Fixed (6, x) in
+  let run r =
+    let o = r.outcome in
+    Obj
+      [
+        ("scenario", String r.scenario_name);
+        ("store", String r.store_name);
+        ("policy", String o.Scenario.policy);
+        ("capacity_per_sec", Fixed (1, r.capacity));
+        ("unit_dur_s", secs r.dur);
+        ("window_s", secs o.Scenario.interval);
+        ("offered", Int o.Scenario.offered);
+        ("accepted", Int o.Scenario.accepted);
+        ("shed_admission", Int o.Scenario.shed_admission);
+        ("shed_dequeue", Int o.Scenario.shed_dequeue);
+        ("completed", Int o.Scenario.completed);
+        ( "phases",
+          List
+            (Array.to_list
+               (Array.map
+                  (fun ps ->
+                    Obj
+                      [
+                        ("name", String ps.Scenario.ps_name);
+                        ("start_s", secs ps.Scenario.ps_start);
+                        ("end_s", secs ps.Scenario.ps_end);
+                        ("offered", Int ps.Scenario.ps_offered);
+                        ("accepted", Int ps.Scenario.ps_accepted);
+                        ("shed_admission", Int ps.Scenario.ps_shed_admission);
+                        ("shed_dequeue", Int ps.Scenario.ps_shed_dequeue);
+                        ("completed", Int ps.Scenario.ps_completed);
+                        ("p50_us", us (qs ps.Scenario.ps_sojourn 50.0));
+                        ("p99_us", us (qs ps.Scenario.ps_sojourn 99.0));
+                      ])
+                  o.Scenario.phases)) );
+        ( "assertions",
+          List
+            (List.map2
+               (fun (c : Assertion.t) (v : Assertion.verdict) ->
+                 Obj
+                   [
+                     ("label", String v.Assertion.v_label);
+                     ("phase", String c.Assertion.phase);
+                     ("series", String (Assertion.series_name c.Assertion.series));
+                     ("pass", Bool v.Assertion.v_pass);
+                     ("detail", String v.Assertion.v_detail);
+                   ])
+               r.checks r.verdicts) );
+        ("pass", Bool (run_pass r));
+      ]
+  in
+  Obj
+    [
+      ("schema", String "prism-scenario-v1");
+      ("seed", Int64 cfg.seed);
+      ("records", Int cfg.records);
+      ("value_size", Int cfg.value_size);
+      ("servers", Int cfg.servers);
+      ("ops_budget", Int cfg.ops);
+      ("policy", String cfg.policy);
+      ("runs", List (List.map run runs));
+      ("pass", Bool (List.for_all run_pass runs));
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* CLI                                                               *)
@@ -285,27 +263,17 @@ let json_of_runs cfg runs =
 
 let () =
   let open Cmdliner in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI-sized: one scenario x two stores")
-  in
+  let quick = Cli.quick ~doc:"CI-sized: one scenario x two stores" in
   let list_flag =
     Arg.(value & flag & info [ "list" ] ~doc:"List scenarios and exit")
   in
   let stores =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stores" ]
-          ~doc:"Comma-separated: prism,kvell,matrixkv,rocksdb-nvm")
+    Cli.override Arg.(list string) "stores"
+      "Comma-separated: prism,kvell,matrixkv,rocksdb-nvm"
   in
   let scenarios =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "scenarios" ]
-          ~doc:"Comma-separated scenario names (see --list)")
+    Cli.override Arg.(list string) "scenarios"
+      "Comma-separated scenario names (see --list)"
   in
   let policy =
     Arg.(
@@ -315,68 +283,33 @@ let () =
             "Admission policy: unbounded, bounded[=N], \
              token-bucket[=RATE[,BURST]], codel[=TARGET_US,INTERVAL_US]")
   in
-  let records =
-    Arg.(
-      value & opt (some int) None
-      & info [ "records" ] ~doc:"Dataset size in keys")
-  in
+  let records = Cli.override Arg.int "records" "Dataset size in keys" in
   let servers =
-    Arg.(
-      value & opt (some int) None
-      & info [ "servers" ] ~doc:"Server processes draining the queue")
+    Cli.override Arg.int "servers" "Server processes draining the queue"
   in
-  let ops =
-    Arg.(
-      value & opt (some int) None
-      & info [ "ops" ] ~doc:"Arrival budget per scenario run")
-  in
-  let seed =
-    Arg.(value & opt int64 0xC0FFEEL & info [ "seed" ] ~doc:"Suite seed")
-  in
+  let ops = Cli.override Arg.int "ops" "Arrival budget per scenario run" in
   let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ]
-          ~doc:"Write prism-scenario-v1 verdicts as JSON to $(docv)"
-          ~docv:"FILE")
+    Cli.json ~doc:"Write prism-scenario-v1 verdicts as JSON to $(docv)"
   in
   let strict =
     Arg.(
       value & flag
       & info [ "strict" ] ~doc:"Exit nonzero when any assertion fails")
   in
-  let gc_tune =
-    Arg.(
-      value & flag
-      & info [ "gc-tune" ]
-          ~doc:"Tune the host GC (wall clock only; results unaffected)")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains running (scenario, store) pairs. Output is \
-             byte-identical for any $(docv); 0 means one per core.")
-  in
   let main quick list_flag stores scenarios policy records servers ops seed
-      json strict gc_tune jobs =
+      json strict () jobs =
     if list_flag then begin
       List.iter
         (fun e -> pf "%-14s %s\n" e.Library.ename e.Library.esummary)
         Library.all;
       exit 0
     end;
-    if gc_tune then Setup.gc_tune ();
     let base = if quick then quick_config else default_config in
-    let split s = String.split_on_char ',' s |> List.map String.trim in
     let cfg =
       {
         base with
-        stores = (match stores with Some s -> split s | None -> base.stores);
-        scenarios =
-          (match scenarios with Some s -> split s | None -> base.scenarios);
+        stores = Option.value stores ~default:base.stores;
+        scenarios = Option.value scenarios ~default:base.scenarios;
         policy;
         records = Option.value records ~default:base.records;
         servers = Option.value servers ~default:base.servers;
@@ -398,25 +331,26 @@ let () =
       Array.of_list
         (List.concat_map
            (fun ename ->
+             let entry =
+               match Library.find ename with
+               | Some e -> e
+               | None ->
+                   Cli.usage_error
+                     (Printf.sprintf "unknown scenario %S (known: %s)" ename
+                        (String.concat ", " Library.names))
+             in
              (* Store-restricted scenarios (the placement ones) override
                 the configured store list: they only make sense on their
                 own stores and would read all-zero probes elsewhere. *)
-             let stores =
-               match Library.find ename with
-               | Some { Library.estores = Some l; _ } -> l
-               | _ -> cfg.stores
-             in
-             List.map (fun store -> (ename, store)) stores)
+             let stores = Option.value entry.Library.estores ~default:cfg.stores in
+             List.map (fun store -> (entry, store, Cli.store store)) stores)
            cfg.scenarios)
-    in
-    let jobs =
-      if jobs = 0 then Prism_fleet.Fleet.default_jobs () else max 1 jobs
     in
     let results =
       Prism_fleet.Fleet.with_pool ~jobs (fun pool ->
           Prism_fleet.Fleet.map pool (Array.length pairs) (fun i ->
-              let ename, store = pairs.(i) in
-              run_one cfg ~ename ~store))
+              let entry, store, build = pairs.(i) in
+              run_one cfg entry ~store build))
     in
     let runs =
       Array.to_list
@@ -429,13 +363,9 @@ let () =
     in
     pf "\n";
     List.iter print_run runs;
-    (match json with
-    | Some path ->
-        let out = open_out path in
-        output_string out (json_of_runs cfg runs);
-        close_out out;
-        pf "wrote %s\n" path
-    | None -> ());
+    Option.iter
+      (fun path -> Cli.save path (Json.pretty (json_of_runs cfg runs)))
+      json;
     let failed = List.filter (fun r -> not (run_pass r)) runs in
     pf "suite: %d/%d runs pass (%.1fs wall)\n"
       (List.length runs - List.length failed)
@@ -448,6 +378,7 @@ let () =
       (Cmd.info "scenario" ~doc:"Time-varying scenario suite with verdicts")
       Term.(
         const main $ quick $ list_flag $ stores $ scenarios $ policy $ records
-        $ servers $ ops $ seed $ json $ strict $ gc_tune $ jobs)
+        $ servers $ ops $ Cli.seed $ json $ strict $ Cli.gc_tune
+        $ Cli.jobs ~what:"(scenario, store) pairs")
   in
   exit (Cmd.eval cmd)

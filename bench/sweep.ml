@@ -68,39 +68,15 @@ let quick_config =
     cal_ops = 6_000;
   }
 
-let store_maker cfg name =
-  let s =
-    {
-      Setup.default_scenario with
-      records = cfg.records;
-      value_size = cfg.value_size;
-      threads = cfg.servers;
-      theta = cfg.theta;
-      seed = cfg.seed;
-    }
-  in
-  match String.lowercase_ascii name with
-  | "prism" -> ("Prism", fun e -> fst (Setup.prism e s))
-  | "kvell" -> ("KVell", fun e -> Setup.kvell e s)
-  | "matrixkv" -> ("MatrixKV", fun e -> Setup.matrixkv e s)
-  | "rocksdb-nvm" | "rocksdb" -> ("RocksDB-NVM", fun e -> Setup.rocksdb_nvm e s)
-  | other -> failwith ("unknown store: " ^ other)
-
-(* Arrival process with long-run mean [rate]. MMPP alternates between a
-   quiet 1/4x and a hot 7/4x state with ~200-arrival dwells; diurnal
-   ramps between 1/2x and 3/2x over two cycles per sweep point. *)
-let arrival_of cfg ~rate rng =
-  match cfg.arrival with
-  | "poisson" -> Arrival.poisson ~rate rng
-  | "mmpp" ->
-      let dwell = 200.0 /. rate in
-      Arrival.mmpp ~rate_low:(0.25 *. rate) ~rate_high:(1.75 *. rate)
-        ~dwell_low:dwell ~dwell_high:dwell rng
-  | "diurnal" ->
-      let period = float_of_int cfg.ops /. rate /. 2.0 in
-      Arrival.diurnal ~base_rate:(0.5 *. rate) ~peak_rate:(1.5 *. rate) ~period
-        rng
-  | other -> failwith ("unknown arrival process: " ^ other)
+let scenario cfg =
+  {
+    Setup.default_scenario with
+    records = cfg.records;
+    value_size = cfg.value_size;
+    threads = cfg.servers;
+    theta = cfg.theta;
+    seed = cfg.seed;
+  }
 
 (* ---------------------------------------------------------------- *)
 (* Per-store sweep                                                   *)
@@ -120,24 +96,6 @@ type store_sweep = {
   curves : curve list;
 }
 
-(* Closed-loop calibration: the store's saturation throughput with
-   [servers] concurrent clients, and its uncontended median service time.
-   Deterministic, so the whole sweep is a pure function of the seed. *)
-let calibrate cfg make =
-  let e = Engine.create () in
-  let kv = Kv.instrument e (make e) in
-  ignore
-    (Runner.load e kv ~threads:cfg.servers ~records:cfg.records
-       ~value_size:cfg.value_size ~seed:cfg.seed);
-  let r =
-    Runner.run e kv cfg.mix ~threads:cfg.servers ~records:cfg.records
-      ~ops:cfg.cal_ops ~theta:cfg.theta ~value_size:cfg.value_size
-      ~seed:cfg.seed
-  in
-  let capacity = r.Runner.kops *. 1e3 in
-  let service_p50 = Hist.quantile r.Runner.latency 50.0 *. 1e-9 in
-  (capacity, service_p50)
-
 let run_point cfg make ~policy ~policy_arg ~capacity ~multiplier =
   let e = Engine.create () in
   let kv = Kv.instrument e (make e) in
@@ -153,7 +111,10 @@ let run_point cfg make ~policy ~policy_arg ~capacity ~multiplier =
             multiplier))
   in
   let rng = Rng.create point_seed in
-  let arrival = arrival_of cfg ~rate:(multiplier *. capacity) (Rng.split rng) in
+  let arrival =
+    Arrival.of_name cfg.arrival ~rate:(multiplier *. capacity) ~ops:cfg.ops
+      (Rng.split rng)
+  in
   let gen =
     Ycsb.create cfg.mix ~records:cfg.records ~theta:cfg.theta
       ~value_size:cfg.value_size rng
@@ -167,9 +128,19 @@ let run_point cfg make ~policy ~policy_arg ~capacity ~multiplier =
   in
   { multiplier; result }
 
-let sweep_store cfg pool name =
-  let store_name, make = store_maker cfg name in
-  let capacity, service_p50 = calibrate cfg make in
+(* Closed-loop calibration gives the store's saturation throughput with
+   [servers] concurrent clients and its uncontended median service time.
+   Deterministic, so the whole sweep is a pure function of the seed. *)
+let sweep_store cfg pool build =
+  let make e = build e (scenario cfg) in
+  let cal =
+    Runner.calibrate make cfg.mix ~threads:cfg.servers ~records:cfg.records
+      ~ops:cfg.cal_ops ~theta:cfg.theta ~value_size:cfg.value_size
+      ~seed:cfg.seed
+  in
+  let store_name = cal.Runner.store in
+  let capacity = cal.Runner.kops *. 1e3 in
+  let service_p50 = Hist.quantile cal.Runner.latency 50.0 *. 1e-9 in
   pf "%s: closed-loop capacity %.0f ops/s, service p50 %.1f us\n%!" store_name
     capacity (service_p50 *. 1e6);
   let policies =
@@ -282,60 +253,58 @@ let print_verdict sw =
 (* JSON export                                                       *)
 (* ---------------------------------------------------------------- *)
 
-(* Hand-rolled like Stats.to_json: fixed field order, fixed float
-   formats, so the same seed writes byte-identical output. *)
+let json_of_point { multiplier; result = r } =
+  let open Json in
+  let us hist p = Fixed (3, q hist p) in
+  Obj
+    [
+      ("multiplier", Fixed (4, multiplier));
+      ("offered_per_sec", Fixed (1, r.Frontend.offered_rate));
+      ("goodput_per_sec", Fixed (1, r.Frontend.goodput));
+      ("shed_rate", Fixed (6, Frontend.shed_rate r));
+      ("offered", Int r.Frontend.offered);
+      ("completed", Int r.Frontend.completed);
+      ("shed", Int (Frontend.shed r));
+      ("max_depth", Int r.Frontend.max_depth);
+      ("p50_us", us r.Frontend.sojourn 50.0);
+      ("p99_us", us r.Frontend.sojourn 99.0);
+      ("p999_us", us r.Frontend.sojourn 99.9);
+      ("wait_p99_us", us r.Frontend.wait 99.0);
+      ("service_p99_us", us r.Frontend.service 99.0);
+    ]
+
+let json_of_sweep sw =
+  let open Json in
+  let curve c =
+    Obj
+      [
+        ("policy", String (Admission.name c.policy));
+        ("policy_detail", String (Admission.describe c.policy));
+        ("points", List (List.map json_of_point c.points));
+      ]
+  in
+  Obj
+    [
+      ("store", String sw.store_name);
+      ("capacity_per_sec", Fixed (1, sw.capacity));
+      ("service_p50_us", Fixed (3, sw.service_p50 *. 1e6));
+      ("curves", List (List.map curve sw.curves));
+    ]
+
 let json_of_sweeps cfg sweeps =
-  let b = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"schema\": \"prism-knee-v1\",\n";
-  add "  \"seed\": %Ld,\n" cfg.seed;
-  add "  \"mix\": %S,\n" cfg.mix.Ycsb.name;
-  add "  \"arrival\": %S,\n" cfg.arrival;
-  add "  \"servers\": %d,\n" cfg.servers;
-  add "  \"records\": %d,\n" cfg.records;
-  add "  \"value_size\": %d,\n" cfg.value_size;
-  add "  \"ops_per_point\": %d,\n" cfg.ops;
-  add "  \"stores\": [";
-  List.iteri
-    (fun i sw ->
-      if i > 0 then add ",";
-      add "\n    {\n";
-      add "      \"store\": %S,\n" sw.store_name;
-      add "      \"capacity_per_sec\": %.1f,\n" sw.capacity;
-      add "      \"service_p50_us\": %.3f,\n" (sw.service_p50 *. 1e6);
-      add "      \"curves\": [";
-      List.iteri
-        (fun j c ->
-          if j > 0 then add ",";
-          add "\n        {\n";
-          add "          \"policy\": %S,\n" (Admission.name c.policy);
-          add "          \"policy_detail\": %S,\n" (Admission.describe c.policy);
-          add "          \"points\": [";
-          List.iteri
-            (fun k { multiplier; result = r } ->
-              if k > 0 then add ",";
-              add "\n            { \"multiplier\": %.4f" multiplier;
-              add ", \"offered_per_sec\": %.1f" r.Frontend.offered_rate;
-              add ", \"goodput_per_sec\": %.1f" r.Frontend.goodput;
-              add ", \"shed_rate\": %.6f" (Frontend.shed_rate r);
-              add ", \"offered\": %d" r.Frontend.offered;
-              add ", \"completed\": %d" r.Frontend.completed;
-              add ", \"shed\": %d" (Frontend.shed r);
-              add ", \"max_depth\": %d" r.Frontend.max_depth;
-              add ", \"p50_us\": %.3f" (q r.Frontend.sojourn 50.0);
-              add ", \"p99_us\": %.3f" (q r.Frontend.sojourn 99.0);
-              add ", \"p999_us\": %.3f" (q r.Frontend.sojourn 99.9);
-              add ", \"wait_p99_us\": %.3f" (q r.Frontend.wait 99.0);
-              add ", \"service_p99_us\": %.3f" (q r.Frontend.service 99.0);
-              add " }")
-            c.points;
-          add "\n          ]\n        }")
-        sw.curves;
-      add "\n      ]\n    }")
-    sweeps;
-  add "\n  ]\n}\n";
-  Buffer.contents b
+  let open Json in
+  Obj
+    [
+      ("schema", String "prism-knee-v1");
+      ("seed", Int64 cfg.seed);
+      ("mix", String cfg.mix.Ycsb.name);
+      ("arrival", String cfg.arrival);
+      ("servers", Int cfg.servers);
+      ("records", Int cfg.records);
+      ("value_size", Int cfg.value_size);
+      ("ops_per_point", Int cfg.ops);
+      ("stores", List (List.map json_of_sweep sweeps));
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* CLI                                                               *)
@@ -344,97 +313,41 @@ let json_of_sweeps cfg sweeps =
 let () =
   let open Cmdliner in
   let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI-sized sweep: 2 stores x 2 policies x 3 points")
+    Cli.quick ~doc:"CI-sized sweep: 2 stores x 2 policies x 3 points"
   in
   let stores =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stores" ] ~doc:"Comma-separated: prism,kvell,matrixkv,rocksdb-nvm")
+    Cli.override Arg.(list string) "stores"
+      "Comma-separated: prism,kvell,matrixkv,rocksdb-nvm"
   in
   let policies =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "policies" ]
-          ~doc:
-            "Comma-separated admission policies: unbounded, bounded[=N], \
-             token-bucket[=RATE[,BURST]], codel[=TARGET_US,INTERVAL_US]")
+    Cli.override Arg.(list string) "policies"
+      "Comma-separated admission policies: unbounded, bounded[=N], \
+       token-bucket[=RATE[,BURST]], codel[=TARGET_US,INTERVAL_US]"
   in
   let points =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "points" ]
-          ~doc:"Comma-separated offered-load multipliers of calibrated capacity")
+    Cli.override Arg.(list float) "points"
+      "Comma-separated offered-load multipliers of calibrated capacity"
   in
   let arrival =
     Arg.(
       value & opt string "poisson"
       & info [ "arrival" ] ~doc:"Arrival process: poisson | mmpp | diurnal")
   in
-  let mix =
-    Arg.(
-      value & opt string "b"
-      & info [ "mix" ] ~doc:"Workload mix: a|b|c|d|e|nutanix")
-  in
-  let records =
-    Arg.(value & opt (some int) None & info [ "records" ] ~doc:"Dataset size in keys")
-  in
+  let records = Cli.override Arg.int "records" "Dataset size in keys" in
   let servers =
-    Arg.(value & opt (some int) None & info [ "servers" ] ~doc:"Server processes draining the queue")
+    Cli.override Arg.int "servers" "Server processes draining the queue"
   in
-  let ops =
-    Arg.(value & opt (some int) None & info [ "ops" ] ~doc:"Open-loop arrivals per sweep point")
-  in
-  let seed =
-    Arg.(value & opt int64 0xC0FFEEL & info [ "seed" ] ~doc:"Sweep seed")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~doc:"Write the knee curves as JSON to $(docv)" ~docv:"FILE")
-  in
-  let gc_tune =
-    Arg.(
-      value & flag
-      & info [ "gc-tune" ]
-          ~doc:"Tune the host GC (wall clock only; results unaffected)")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains running sweep cells. Output is byte-identical \
-             for any $(docv); 0 means one per core.")
-  in
+  let ops = Cli.override Arg.int "ops" "Open-loop arrivals per sweep point" in
+  let json = Cli.json ~doc:"Write the knee curves as JSON to $(docv)" in
   let main quick stores policies points arrival mix records servers ops seed
-      json gc_tune jobs =
-    if gc_tune then Setup.gc_tune ();
+      json () jobs =
     let base = if quick then quick_config else default_config in
-    let split s = String.split_on_char ',' s |> List.map String.trim in
-    let mix =
-      match
-        List.find_opt
-          (fun m -> String.lowercase_ascii m.Ycsb.name = String.lowercase_ascii mix)
-          (Ycsb.all_ycsb @ [ Ycsb.nutanix ])
-      with
-      | Some m -> m
-      | None -> failwith ("unknown mix: " ^ mix)
-    in
     let cfg =
       {
         base with
-        stores = (match stores with Some s -> split s | None -> base.stores);
-        policies = (match policies with Some s -> split s | None -> base.policies);
-        points =
-          (match points with
-          | Some s -> List.map float_of_string (split s)
-          | None -> base.points);
+        stores = Option.value stores ~default:base.stores;
+        policies = Option.value policies ~default:base.policies;
+        points = Option.value points ~default:base.points;
         arrival;
         mix;
         records = Option.value records ~default:base.records;
@@ -443,6 +356,7 @@ let () =
         seed;
       }
     in
+    let builds = List.map Cli.store cfg.stores in
     let t0 = Unix.gettimeofday () in
     Report.section
       (Printf.sprintf
@@ -450,25 +364,21 @@ let () =
           servers, %d arrivals/point"
          cfg.arrival cfg.mix.Ycsb.name cfg.records cfg.value_size cfg.servers
          cfg.ops);
-    let jobs =
-      if jobs = 0 then Prism_fleet.Fleet.default_jobs () else max 1 jobs
-    in
     let sweeps =
       Prism_fleet.Fleet.with_pool ~jobs (fun pool ->
-          List.map (sweep_store cfg pool) cfg.stores)
+          List.map (sweep_store cfg pool) builds)
     in
     List.iter
       (fun sw ->
         print_tables sw;
         print_verdict sw)
       sweeps;
-    (match json with
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (json_of_sweeps cfg sweeps);
-        close_out oc;
-        pf "\nwrote knee curves to %s\n" path
-    | None -> ());
+    Option.iter
+      (fun path ->
+        pf "\n";
+        Cli.save ~what:"knee curves" path
+          (Json.pretty (json_of_sweeps cfg sweeps)))
+      json;
     pf "\nSweep done in %.1fs wall.\n" (Unix.gettimeofday () -. t0)
   in
   let cmd =
@@ -476,7 +386,8 @@ let () =
       (Cmd.info "prism-sweep"
          ~doc:"Offered-load sweeps past saturation (knee curves)")
       Term.(
-        const main $ quick $ stores $ policies $ points $ arrival $ mix
-        $ records $ servers $ ops $ seed $ json $ gc_tune $ jobs)
+        const main $ quick $ stores $ policies $ points $ arrival
+        $ Cli.mix ~default:Ycsb.ycsb_b $ records $ servers $ ops $ Cli.seed
+        $ json $ Cli.gc_tune $ Cli.jobs ~what:"sweep cells")
   in
   exit (Cmd.eval cmd)

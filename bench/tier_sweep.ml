@@ -88,10 +88,7 @@ let run_cell cfg ~theta ~placement =
     }
   in
   let kv, store =
-    match placement with
-    | "static" -> Setup.prism e s
-    | "hotness" -> Setup.prism_hotness e s
-    | other -> failwith ("unknown placement: " ^ other)
+    if placement = "hotness" then Setup.prism_hotness e s else Setup.prism e s
   in
   let kv = Kv.instrument e kv in
   ignore
@@ -209,46 +206,47 @@ let print_verdict points =
 (* JSON export                                                       *)
 (* ---------------------------------------------------------------- *)
 
-(* Hand-rolled like Stats.to_json: fixed field order, fixed float
-   formats, so the same seed writes byte-identical output. *)
 let json_of_points cfg points =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let add_cell indent c =
-    add "%s\"%s\": { \"kops\": %.3f, \"p50_us\": %.3f, \"p99_us\": %.3f"
-      indent c.placement c.kops c.p50_us c.p99_us;
-    add ", \"waf\": %.6f" c.waf;
-    add ", \"ssd_bytes_written\": %d" c.ssd_bytes;
-    add ", \"nvm_bytes_written\": %d" c.nvm_bytes;
-    add ", \"tier_resident_bytes\": %d" c.tier_resident;
-    add ", \"tier_capacity_bytes\": %d" c.tier_capacity;
-    add ", \"tier_hits\": %d" c.tier_hits;
-    add ", \"promotions\": %d" c.promotions;
-    add ", \"demotions\": %d" c.demotions;
-    add ", \"migration_bytes\": %d }" c.migration_bytes
+  let open Json in
+  let cell c =
+    Obj
+      [
+        ("kops", Fixed (3, c.kops));
+        ("p50_us", Fixed (3, c.p50_us));
+        ("p99_us", Fixed (3, c.p99_us));
+        ("waf", Fixed (6, c.waf));
+        ("ssd_bytes_written", Int c.ssd_bytes);
+        ("nvm_bytes_written", Int c.nvm_bytes);
+        ("tier_resident_bytes", Int c.tier_resident);
+        ("tier_capacity_bytes", Int c.tier_capacity);
+        ("tier_hits", Int c.tier_hits);
+        ("promotions", Int c.promotions);
+        ("demotions", Int c.demotions);
+        ("migration_bytes", Int c.migration_bytes);
+      ]
   in
-  add "{\n";
-  add "  \"schema\": \"prism-tier-v1\",\n";
-  add "  \"seed\": %Ld,\n" cfg.seed;
-  add "  \"mix\": %S,\n" cfg.mix.Ycsb.name;
-  add "  \"records\": %d,\n" cfg.records;
-  add "  \"value_size\": %d,\n" cfg.value_size;
-  add "  \"threads\": %d,\n" cfg.threads;
-  add "  \"ssds\": %d,\n" cfg.num_ssds;
-  add "  \"ops\": %d,\n" cfg.ops;
-  add "  \"points\": [";
-  List.iteri
-    (fun i p ->
-      if i > 0 then add ",";
-      add "\n    {\n";
-      add "      \"theta\": %.4f,\n" p.theta;
-      add_cell "      " p.static;
-      add ",\n";
-      add_cell "      " p.hotness;
-      add "\n    }")
-    points;
-  add "\n  ]\n}\n";
-  Buffer.contents b
+  Obj
+    [
+      ("schema", String "prism-tier-v1");
+      ("seed", Int64 cfg.seed);
+      ("mix", String cfg.mix.Ycsb.name);
+      ("records", Int cfg.records);
+      ("value_size", Int cfg.value_size);
+      ("threads", Int cfg.threads);
+      ("ssds", Int cfg.num_ssds);
+      ("ops", Int cfg.ops);
+      ( "points",
+        List
+          (List.map
+             (fun p ->
+               Obj
+                 [
+                   ("theta", Fixed (4, p.theta));
+                   (p.static.placement, cell p.static);
+                   (p.hotness.placement, cell p.hotness);
+                 ])
+             points) );
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* CLI                                                               *)
@@ -256,81 +254,20 @@ let json_of_points cfg points =
 
 let () =
   let open Cmdliner in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI-sized sweep: 2 thetas, smaller dataset")
-  in
+  let quick = Cli.quick ~doc:"CI-sized sweep: 2 thetas, smaller dataset" in
   let thetas =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "thetas" ] ~doc:"Comma-separated Zipfian coefficients")
+    Cli.override Arg.(list float) "thetas" "Comma-separated Zipfian coefficients"
   in
-  let mix =
-    Arg.(
-      value & opt string "a"
-      & info [ "mix" ] ~doc:"Workload mix: a|b|c|d|e|nutanix")
-  in
-  let records =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "records" ] ~doc:"Dataset size in keys")
-  in
-  let ops =
-    Arg.(
-      value & opt (some int) None & info [ "ops" ] ~doc:"Operations per cell")
-  in
-  let threads =
-    Arg.(
-      value & opt (some int) None & info [ "threads" ] ~doc:"Client threads")
-  in
-  let seed =
-    Arg.(value & opt int64 0xC0FFEEL & info [ "seed" ] ~doc:"Sweep seed")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~doc:"Write the sweep as JSON to $(docv)" ~docv:"FILE")
-  in
-  let gc_tune =
-    Arg.(
-      value & flag
-      & info [ "gc-tune" ]
-          ~doc:"Tune the host GC (wall clock only; results unaffected)")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains running sweep cells. Output is byte-identical \
-             for any $(docv); 0 means one per core.")
-  in
-  let main quick thetas mix records ops threads seed json gc_tune jobs =
-    if gc_tune then Setup.gc_tune ();
+  let records = Cli.override Arg.int "records" "Dataset size in keys" in
+  let ops = Cli.override Arg.int "ops" "Operations per cell" in
+  let threads = Cli.override Arg.int "threads" "Client threads" in
+  let json = Cli.json ~doc:"Write the sweep as JSON to $(docv)" in
+  let main quick thetas mix records ops threads seed json () jobs =
     let base = if quick then quick_config else default_config in
-    let mix =
-      match
-        List.find_opt
-          (fun m ->
-            String.lowercase_ascii m.Ycsb.name = String.lowercase_ascii mix)
-          (Ycsb.all_ycsb @ [ Ycsb.nutanix ])
-      with
-      | Some m -> m
-      | None -> failwith ("unknown mix: " ^ mix)
-    in
     let cfg =
       {
         base with
-        thetas =
-          (match thetas with
-          | Some s ->
-              String.split_on_char ',' s
-              |> List.map (fun x -> float_of_string (String.trim x))
-          | None -> base.thetas);
+        thetas = Option.value thetas ~default:base.thetas;
         mix;
         records = Option.value records ~default:base.records;
         ops = Option.value ops ~default:base.ops;
@@ -344,19 +281,15 @@ let () =
          "Placement theta-sweep: mix %s, %d keys x %dB, %d threads, %d \
           ops/cell"
          cfg.mix.Ycsb.name cfg.records cfg.value_size cfg.threads cfg.ops);
-    let jobs =
-      if jobs = 0 then Prism_fleet.Fleet.default_jobs () else max 1 jobs
-    in
     let points = run_points cfg ~jobs in
     print_table points;
     print_verdict points;
-    (match json with
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (json_of_points cfg points);
-        close_out oc;
-        pf "\nwrote tier sweep to %s\n" path
-    | None -> ());
+    Option.iter
+      (fun path ->
+        pf "\n";
+        Cli.save ~what:"tier sweep" path
+          (Json.pretty (json_of_points cfg points)))
+      json;
     pf "\nSweep done in %.1fs wall.\n" (Unix.gettimeofday () -. t0)
   in
   let cmd =
@@ -364,7 +297,8 @@ let () =
       (Cmd.info "prism-tier-sweep"
          ~doc:"Zipfian-skew sweep of static vs hotness value placement")
       Term.(
-        const main $ quick $ thetas $ mix $ records $ ops $ threads $ seed
-        $ json $ gc_tune $ jobs)
+        const main $ quick $ thetas $ Cli.mix ~default:Ycsb.ycsb_a $ records
+        $ ops $ threads $ Cli.seed $ json $ Cli.gc_tune
+        $ Cli.jobs ~what:"sweep cells")
   in
   exit (Cmd.eval cmd)

@@ -247,9 +247,7 @@ let parse_choices s =
 let main store placement seed schedules dpor crash_every replay
     replay_choices shrink no_lsm_wal fault scan_weak scan_every delete_every
     threads ops records keys_per_thread shards txn_every jobs verbose =
-  let jobs =
-    if jobs = 0 then Prism_fleet.Fleet.default_jobs () else max 1 jobs
-  in
+  let jobs = Prism_fleet.Fleet.jobs_of_flag jobs in
   let placement =
     match String.lowercase_ascii placement with
     | "static" -> `Static
@@ -296,6 +294,10 @@ let main store placement seed schedules dpor crash_every replay
     else if store = `Cluster then Crash_sweep.default.Crash_sweep.txn_every
     else 0
   in
+  if placement = `Hotness && not (store = `Prism || store = `Cluster) then begin
+    Printf.eprintf "--placement hotness needs --store prism or cluster\n";
+    exit 2
+  end;
   if store = `Kvell && (shards > 1 || txn_every > 0) then begin
     Printf.eprintf "--shards/--txn-every need the prism-backed cluster\n";
     exit 2

@@ -13,15 +13,6 @@ open Prism_harness
 open Prism_workload
 open Prism_frontend
 
-let mix_of_name = function
-  | "a" -> Some Ycsb.ycsb_a
-  | "b" -> Some Ycsb.ycsb_b
-  | "c" -> Some Ycsb.ycsb_c
-  | "d" -> Some Ycsb.ycsb_d
-  | "e" -> Some Ycsb.ycsb_e
-  | "nutanix" -> Some Ycsb.nutanix
-  | _ -> None
-
 let replay_trace engine kv ~threads path =
   match Trace.load ~path with
   | Error e -> Printf.eprintf "cannot load trace %s: %s\n" path e
@@ -62,10 +53,9 @@ let replay_trace engine kv ~threads path =
         (Hist.mean lat /. 1e3)
         (Hist.to_us (Hist.percentile lat 99.0))
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+let write_json path json =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Json.compact json))
 
 (* Open-loop phase: requests arrive at a fixed offered rate regardless of
    completions, queue in front of the store, and an admission policy
@@ -84,19 +74,7 @@ let run_open_loop engine kv ~mix ~records ~theta ~value_size ~ops ~seed ~rate
          (Printf.sprintf "open-loop/%s/%s/%.3f" mix.Ycsb.name arrival rate))
   in
   let rng = Rng.create point_seed in
-  let arr =
-    match arrival with
-    | "poisson" -> Arrival.poisson ~rate (Rng.split rng)
-    | "mmpp" ->
-        let dwell = 200.0 /. rate in
-        Arrival.mmpp ~rate_low:(0.25 *. rate) ~rate_high:(1.75 *. rate)
-          ~dwell_low:dwell ~dwell_high:dwell (Rng.split rng)
-    | "diurnal" ->
-        let period = float_of_int ops /. rate /. 2.0 in
-        Arrival.diurnal ~base_rate:(0.5 *. rate) ~peak_rate:(1.5 *. rate)
-          ~period (Rng.split rng)
-    | other -> failwith ("unknown arrival process: " ^ other)
-  in
+  let arr = Arrival.of_name arrival ~rate ~ops (Rng.split rng) in
   let gen = Ycsb.create mix ~records ~theta ~value_size rng in
   let trace =
     Trace.record_timed gen ~gap:(fun () -> Arrival.next_gap arr) ~ops
@@ -122,11 +100,8 @@ let run_scenario make engine kv ~ename ~records ~value_size ~threads ~theta
           (Printf.sprintf "unknown scenario %s (have: %s)" ename
              (String.concat ", " Library.names))
   in
-  let cal_e = Engine.create () in
-  let cal_kv = Kv.instrument cal_e (make cal_e) in
-  ignore (Runner.load cal_e cal_kv ~threads ~records ~value_size ~seed);
   let r =
-    Runner.run cal_e cal_kv Ycsb.ycsb_b ~threads ~records ~ops:(min ops 6_000)
+    Runner.calibrate make Ycsb.ycsb_b ~threads ~records ~ops:(min ops 6_000)
       ~theta ~value_size ~seed
   in
   let capacity = r.Runner.kops *. 1e3 in
@@ -198,12 +173,28 @@ let run store_name placement workloads scenario_arg records value_size
       scan_ops = max 1 (ops / 10);
     }
   in
+  let usage_error msg =
+    Printf.eprintf "prism-ycsb: %s\n" msg;
+    exit 2
+  in
+  let store_name = String.lowercase_ascii store_name in
+  (* --placement hotness selects the registry's prism-hotness; no other
+     store has a placement policy to switch. *)
+  let store_name =
+    match (String.lowercase_ascii placement, store_name) with
+    | "static", _ -> store_name
+    | "hotness", "prism" -> "prism-hotness"
+    | "hotness", _ -> usage_error "--placement hotness needs --store prism"
+    | other, _ -> usage_error ("unknown placement policy: " ^ other)
+  in
+  let build =
+    match Setup.of_name store_name with Ok b -> b | Error e -> usage_error e
+  in
   let cluster_cfg =
     if shards > 1 || txn_every > 0 then begin
-      if String.lowercase_ascii store_name <> "prism" then
-        failwith "--shards/--txn-every need --store prism";
-      if String.lowercase_ascii placement <> "static" then
-        failwith "--shards/--txn-every support --placement static only";
+      if store_name <> "prism" then
+        usage_error
+          "--shards/--txn-every need --store prism and --placement static";
       Some
         {
           Prism_cluster.Cluster.default with
@@ -217,18 +208,7 @@ let run store_name placement workloads scenario_arg records value_size
     match cluster_cfg with
     | Some ccfg ->
         fun e -> snd (Prism_cluster.Cluster.of_scenario e ccfg scenario)
-    | None -> (
-        match String.lowercase_ascii store_name with
-        | "prism" -> (
-            match String.lowercase_ascii placement with
-            | "static" -> fun e -> fst (Setup.prism e scenario)
-            | "hotness" -> fun e -> fst (Setup.prism_hotness e scenario)
-            | other -> failwith ("unknown placement policy: " ^ other))
-        | "kvell" -> fun e -> Setup.kvell e scenario
-        | "matrixkv" -> fun e -> Setup.matrixkv e scenario
-        | "rocksdb-nvm" | "rocksdb" -> fun e -> Setup.rocksdb_nvm e scenario
-        | "slm-db" | "slmdb" -> fun e -> Setup.slmdb e scenario
-        | other -> failwith ("unknown store: " ^ other))
+    | None -> fun e -> build e scenario
   in
   let engine = Engine.create () in
   (match chrome_trace with
@@ -243,31 +223,12 @@ let run store_name placement workloads scenario_arg records value_size
         (Some c, ckv)
     | None -> (None, make engine)
   in
-  (* Every [txn_every]-th put becomes a multi-key 2PC write batch: the
-     put's own write plus two uniform-random keys, exercising cross-shard
-     commits under the measured workload. *)
   let base_kv =
     match cluster with
-    | Some c when txn_every > 0 ->
-        let count = ref 0 in
-        let rng = Rng.create (Int64.add scenario.Setup.seed 0x7cL) in
-        {
-          base_kv with
-          Kv.put =
-            (fun ~tid key value ->
-              incr count;
-              if !count mod txn_every = 0 then
-                let extras =
-                  List.init 2 (fun _ -> (Ycsb.key_of (Rng.int rng records), value))
-                in
-                match Prism_cluster.Cluster.batch c ~tid ((key, value) :: extras)
-                with
-                | Prism_cluster.Cluster.Committed
-                | Prism_cluster.Cluster.Aborted ->
-                    ()
-              else base_kv.Kv.put ~tid key value);
-        }
-    | _ -> base_kv
+    | Some c ->
+        Prism_cluster.Cluster.with_batches c base_kv ~every:txn_every ~records
+          ~seed:scenario.Setup.seed
+    | None -> base_kv
   in
   let kv = Kv.instrument engine base_kv in
   Printf.printf "store=%s records=%d value=%dB threads=%d ssds=%d zipf=%.2f\n\n"
@@ -278,7 +239,7 @@ let run store_name placement workloads scenario_arg records value_size
       let mix =
         match
           String.split_on_char ',' (String.lowercase_ascii workloads)
-          |> List.filter_map mix_of_name
+          |> List.filter_map Ycsb.mix_of_name
         with
         | m :: _ -> m
         | [] -> Ycsb.ycsb_a
@@ -308,7 +269,7 @@ let run store_name placement workloads scenario_arg records value_size
           in
           Format.printf "%a@." Runner.pp_result r
       | name -> (
-          match mix_of_name name with
+          match Ycsb.mix_of_name name with
           | Some mix ->
               let r =
                 Runner.run engine kv mix ~threads ~records
@@ -326,7 +287,7 @@ let run store_name placement workloads scenario_arg records value_size
       let mix =
         match
           String.split_on_char ',' (String.lowercase_ascii workloads)
-          |> List.filter_map mix_of_name
+          |> List.filter_map Ycsb.mix_of_name
         with
         | m :: _ -> m
         | [] -> Ycsb.ycsb_b
@@ -353,7 +314,7 @@ let run store_name placement workloads scenario_arg records value_size
         commits aborts prepares
         (Stats.get_int reg "prism.cluster.ops.routed")
   | None -> ());
-  if String.lowercase_ascii placement = "hotness" then
+  if store_name = "prism-hotness" then
     Printf.printf
       "NVM tier: %d hits, %d promotions, %d demotions, %.1f MB resident, \
        %.1f MB migration writes\n"
@@ -366,12 +327,12 @@ let run store_name placement workloads scenario_arg records value_size
   if stats then Format.printf "@.%a@." Stats.pp reg;
   (match stats_json with
   | Some path ->
-      write_file path (Stats.to_json reg);
+      write_json path (Stats.to_json reg);
       Printf.printf "wrote metric registry to %s\n" path
   | None -> ());
   match chrome_trace with
   | Some path ->
-      write_file path (Span.to_chrome_json (Engine.spans engine));
+      write_json path (Span.to_chrome_json (Engine.spans engine));
       Printf.printf "wrote Chrome trace to %s\n" path
   | None -> ()
 
@@ -380,7 +341,8 @@ let () =
   let store =
     Arg.(
       value & opt string "prism"
-      & info [ "store" ] ~doc:"prism | kvell | matrixkv | rocksdb-nvm | slm-db")
+      & info [ "store" ]
+          ~doc:"prism | prism-hotness | kvell | matrixkv | rocksdb-nvm | slm-db")
   in
   let placement =
     Arg.(
@@ -390,7 +352,7 @@ let () =
             "Prism value-placement policy: static (all values to SSD Value \
              Storage, the paper's layout) | hotness (CLOCK-tracked hot \
              values promoted to an NVM value tier, cold residents demoted \
-             during reclaim). Only meaningful with --store prism")
+             during reclaim). Only --store prism has a placement policy")
   in
   let workload =
     Arg.(

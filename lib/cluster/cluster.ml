@@ -547,6 +547,27 @@ let kv t =
     recover = None;
   }
 
+let with_batches t (kv : Prism_harness.Kv.t) ~every ~records ~seed =
+  if every <= 0 then kv
+  else begin
+    let count = ref 0 in
+    let rng = Rng.create (Int64.add seed 0x7cL) in
+    {
+      kv with
+      put =
+        (fun ~tid key value ->
+          incr count;
+          if !count mod every = 0 then
+            let extras =
+              List.init 2 (fun _ ->
+                  (Prism_workload.Ycsb.key_of (Rng.int rng records), value))
+            in
+            match batch t ~tid ((key, value) :: extras) with
+            | Committed | Aborted -> ()
+          else kv.put ~tid key value);
+    }
+  end
+
 let of_scenario ?tweak engine cfg (s : Prism_harness.Setup.scenario) =
   let per = max 1 (s.records / max 1 cfg.shards) in
   let stores =

@@ -106,6 +106,15 @@ type outcome = Committed | Aborted
     — or ever will be — visible. *)
 val batch : t -> tid:int -> (string * bytes) list -> outcome
 
+(** [with_batches t kv ~every ~records ~seed] is [kv] with every
+    [every]-th put turned into a 3-key {!batch}: the put's own write plus
+    two keys drawn uniformly from [records] (seeded from [seed]), so a
+    measured workload commits cross-shard transactions at a fixed rate.
+    [every <= 0] returns [kv] unchanged. *)
+val with_batches :
+  t -> Prism_harness.Kv.t -> every:int -> records:int -> seed:int64 ->
+  Prism_harness.Kv.t
+
 (** A {!Prism_harness.Kv.t} view over single-key operations. *)
 val kv : t -> Prism_harness.Kv.t
 

@@ -43,6 +43,8 @@ let max_jobs = 64
 
 let default_jobs () = Domain.recommended_domain_count ()
 
+let jobs_of_flag n = if n = 0 then default_jobs () else max 1 n
+
 let jobs pool = pool.lanes
 
 (* Run a job body to a settled state. Never called under the lock. *)

@@ -46,6 +46,10 @@ val max_jobs : int
     for "use the whole machine". *)
 val default_jobs : unit -> int
 
+(** [jobs_of_flag n] reads a [--jobs N] flag: [0] means one lane per core
+    ({!default_jobs}), anything else at least one lane. *)
+val jobs_of_flag : int -> int
+
 (** [map pool n f] computes [| f 0; f 1; ...; f (n-1) |]. With a serial
     pool (or [n <= 1]) the calls happen inline in ascending order;
     otherwise jobs are distributed round-robin over worker deques,

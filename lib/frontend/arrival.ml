@@ -103,6 +103,20 @@ let name t =
   | Mmpp _ -> "mmpp"
   | Diurnal _ -> "diurnal"
 
+let of_name name ~rate ~ops rng =
+  match name with
+  | "poisson" -> poisson ~rate rng
+  | "mmpp" ->
+      let dwell = 200.0 /. rate in
+      mmpp ~rate_low:(0.25 *. rate) ~rate_high:(1.75 *. rate) ~dwell_low:dwell
+        ~dwell_high:dwell rng
+  | "diurnal" ->
+      let period = float_of_int ops /. rate /. 2.0 in
+      diurnal ~base_rate:(0.5 *. rate) ~peak_rate:(1.5 *. rate) ~period rng
+  | other ->
+      invalid_arg
+        ("unknown arrival process " ^ other ^ " (use poisson|mmpp|diurnal)")
+
 let schedule t ~n =
   let times = Array.make n 0.0 in
   let clock = ref 0.0 in

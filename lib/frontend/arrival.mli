@@ -55,6 +55,14 @@ val mean_rate : t -> float
 (** Display name: ["poisson"], ["mmpp"] or ["diurnal"]. *)
 val name : t -> string
 
+(** [of_name name ~rate ~ops rng] is the named process ([poisson], [mmpp]
+    or [diurnal]) with long-run mean [rate], shaped for a run of [ops]
+    arrivals: MMPP alternates a quiet 1/4x and a hot 7/4x state with
+    ~200-arrival dwells; diurnal ramps between 1/2x and 3/2x over two
+    cycles of the run.
+    @raise Invalid_argument on any other name. *)
+val of_name : string -> rate:float -> ops:int -> Prism_sim.Rng.t -> t
+
 (** [schedule t ~n] draws the next [n] arrivals as absolute virtual times
     (cumulative gaps, starting from [t]'s current position). Consumes the
     stream — primarily for tests and trace stamping. *)

@@ -103,6 +103,12 @@ let run ?timeline engine kv mix ~threads ~records ~ops ~theta ~value_size
     latency;
   }
 
+let calibrate make mix ~threads ~records ~ops ~theta ~value_size ~seed =
+  let e = Engine.create () in
+  let kv = Kv.instrument e (make e) in
+  ignore (load e kv ~threads ~records ~value_size ~seed);
+  run e kv mix ~threads ~records ~ops ~theta ~value_size ~seed
+
 let recovery_time engine kv =
   match kv.Kv.recover with
   | None -> None

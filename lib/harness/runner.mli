@@ -41,6 +41,23 @@ val run :
   seed:int64 ->
   result
 
+(** [calibrate make mix ~threads ~records ~ops ~theta ~value_size ~seed]
+    measures a store's closed-loop capacity: on a fresh engine it builds
+    the store with [make], instruments it, runs LOAD and then [ops]
+    operations of [mix] from [threads] clients. The result's [kops] is
+    the saturation throughput and its [latency] the uncontended service
+    time. A pure function of its arguments. *)
+val calibrate :
+  (Prism_sim.Engine.t -> Kv.t) ->
+  Prism_workload.Ycsb.mix ->
+  threads:int ->
+  records:int ->
+  ops:int ->
+  theta:float ->
+  value_size:int ->
+  seed:int64 ->
+  result
+
 (** Measure the virtual time a store takes to recover after a simulated
     restart ([None] when the store has no recovery hook). *)
 val recovery_time : Prism_sim.Engine.t -> Kv.t -> float option

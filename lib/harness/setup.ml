@@ -154,6 +154,27 @@ let slmdb engine s =
   in
   Kv.of_slmdb db
 
+(* The store registry: every name a command line accepts for a store. *)
+let registry =
+  [
+    ("prism", fun e s -> fst (prism e s));
+    ("prism-hotness", fun e s -> fst (prism_hotness e s));
+    ("kvell", fun e s -> kvell e s);
+    ("matrixkv", matrixkv);
+    ("rocksdb-nvm", rocksdb_nvm);
+    ("rocksdb", rocksdb_nvm);
+    ("slm-db", slmdb);
+    ("slmdb", slmdb);
+  ]
+
+let of_name name =
+  match List.assoc_opt (String.lowercase_ascii name) registry with
+  | Some make -> Ok make
+  | None ->
+      Error
+        (Printf.sprintf "unknown store %S (known: %s)" name
+           (String.concat ", " (List.map fst registry)))
+
 (* A simulation allocates briefly-live objects (events, continuations,
    closures) at a high rate; the 256 K-word default minor heap forces a
    minor collection every few thousand operations. A roomier minor arena

@@ -61,6 +61,13 @@ val matrixkv : Prism_sim.Engine.t -> scenario -> Kv.t
     (§7.4); the caller passes a suitably reduced scenario. *)
 val slmdb : Prism_sim.Engine.t -> scenario -> Kv.t
 
+(** [of_name name] builds the store a command line means by [name]
+    (case-insensitive): [prism], [prism-hotness], [kvell], [matrixkv],
+    [rocksdb-nvm] (alias [rocksdb]) or [slm-db] (alias [slmdb]). An
+    unknown name is an [Error] that lists the known ones. *)
+val of_name :
+  string -> (Prism_sim.Engine.t -> scenario -> Kv.t, string) result
+
 (** All four multi-threaded contenders of Figure 7, in paper order. *)
 val contenders : Prism_sim.Engine.t -> scenario -> Kv.t list
 

@@ -44,4 +44,4 @@ val reset : t -> unit
 (** Chrome [trace_event] JSON (["X"] complete events, microseconds);
     non-empty only when [set_keep_events] was on. Load into
     [chrome://tracing] or Perfetto. *)
-val to_chrome_json : t -> string
+val to_chrome_json : t -> Json.t

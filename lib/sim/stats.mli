@@ -119,10 +119,10 @@ val diff :
     Gauges are live views and are untouched. *)
 val reset : t -> unit
 
-(** One-line-per-metric JSON object: counters/gauges as numbers,
+(** The registry as one JSON object: counters/gauges as numbers,
     histograms as [{"count":..,"mean":..,"p50":..,"p99":..,"max":..}],
     timelines as [[[start,count],...]]. Keys sorted. *)
-val to_json : t -> string
+val to_json : t -> Json.t
 
 val pp_value : Format.formatter -> value -> unit
 

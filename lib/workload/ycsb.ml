@@ -42,6 +42,11 @@ let nutanix =
 
 let all_ycsb = [ ycsb_a; ycsb_b; ycsb_c; ycsb_d; ycsb_e ]
 
+let mix_of_name name =
+  List.find_opt
+    (fun m -> String.lowercase_ascii m.name = String.lowercase_ascii name)
+    (nutanix :: all_ycsb)
+
 let key_of i = Printf.sprintf "user%012d" i
 
 (* Payload: "<version>|<key>|" then a repeating fill derived from both, so

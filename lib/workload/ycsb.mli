@@ -37,6 +37,10 @@ val nutanix : mix
 
 val all_ycsb : mix list
 
+(** [mix_of_name n] finds a mix by its name, case-insensitively: [a] to
+    [e], or [nutanix]. *)
+val mix_of_name : string -> mix option
+
 (** [key_of i] is the YCSB key for ordinal [i]. *)
 val key_of : int -> string
 

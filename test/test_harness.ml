@@ -225,6 +225,34 @@ let test_different_seeds_differ () =
   Alcotest.(check bool) "seed changes the run" true
     (run 1L <> run 2L)
 
+(* Every registered name builds the store the JSON exports name. *)
+let test_registry_names () =
+  List.iter
+    (fun (arg, expected) ->
+      match Setup.of_name arg with
+      | Error e -> Alcotest.fail e
+      | Ok build ->
+          let kv = build (Engine.create ()) tiny in
+          Alcotest.(check string) arg expected kv.Kv.name)
+    [
+      ("prism", "Prism");
+      ("prism-hotness", "Prism-hotness");
+      ("kvell", "KVell");
+      ("matrixkv", "MatrixKV");
+      ("rocksdb-nvm", "RocksDB-NVM");
+      ("rocksdb", "RocksDB-NVM");
+      ("slm-db", "SLM-DB");
+      ("slmdb", "SLM-DB");
+      ("KVell", "KVell");
+    ];
+  match Setup.of_name "nosuch" with
+  | Ok _ -> Alcotest.fail "unknown store accepted"
+  | Error e ->
+      Alcotest.(check string) "error lists the known names"
+        "unknown store \"nosuch\" (known: prism, prism-hotness, kvell, \
+         matrixkv, rocksdb-nvm, rocksdb, slm-db, slmdb)"
+        e
+
 let test_report_table_renders () =
   (* Smoke: must not raise, regardless of jagged rows. *)
   Report.section "test";
@@ -249,6 +277,7 @@ let () =
           case "all contenders" test_all_contenders_complete_a_mix;
           case "kvell recovery" test_kvell_recovery_hook;
           case "prism beats lsm on load" test_prism_beats_lsm_on_load;
+          case "registry names" test_registry_names;
         ] );
       ( "determinism",
         [

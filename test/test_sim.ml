@@ -757,7 +757,7 @@ let test_stats_json () =
   Metric.Counter.add (Stats.counter s "a.count") 3;
   Stats.gauge_float s "a.ratio" (fun () -> 0.5);
   Hist.record (Stats.histogram s "a.lat") 42;
-  let json = Stats.to_json s in
+  let json = Json.compact (Stats.to_json s) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("contains " ^ needle) true
@@ -795,11 +795,105 @@ let test_span_chrome_export () =
   Span.set_keep_events s true;
   let h = Span.begin_ s ~name:"op \"q\"" ~tid:3 ~now:1e-6 in
   Span.end_ s h ~now:3e-6;
-  let json = Span.to_chrome_json s in
+  let h = Span.begin_ s ~name:"line\nctl\x01" ~tid:3 ~now:4e-6 in
+  Span.end_ s h ~now:5e-6;
+  let json = Json.compact (Span.to_chrome_json s) in
   let contains needle = contains_substring json needle in
   Alcotest.(check bool) "traceEvents array" true (contains "\"traceEvents\"");
   Alcotest.(check bool) "escaped name" true (contains {|op \"q\"|});
-  Alcotest.(check bool) "tid kept" true (contains {|"tid":3|})
+  Alcotest.(check bool) "tid kept" true (contains {|"tid":3|});
+  Alcotest.(check bool) "control bytes escaped" true
+    (contains {|"name":"line\nctl\u0001"|});
+  Alcotest.(check bool) "no raw control bytes" false
+    (String.exists (fun c -> Char.code c < 0x20) json)
+
+(* ---- Json printers (golden strings) ---- *)
+
+let check_json name expected got = Alcotest.(check string) name expected got
+
+let test_json_inline_scalars () =
+  let open Json in
+  check_json "inline object of scalars inside a list"
+    "[\n  { \"a\": 1, \"b\": true, \"c\": \"x\" }\n]\n"
+    (pretty (List [ Obj [ ("a", Int 1); ("b", Bool true); ("c", String "x") ] ]));
+  check_json "empty list" "{\n  \"l\": [\n  ]\n}\n"
+    (pretty (Obj [ ("l", List []) ]))
+
+let test_json_nested_breaks () =
+  let open Json in
+  let v =
+    Obj
+      [
+        ("seed", Int64 12648430L);
+        ( "rows",
+          List
+            [
+              Obj [ ("k", Int 1); ("inner", Obj [ ("x", Fixed (2, 0.5)) ]) ];
+            ] );
+      ]
+  in
+  check_json "nested object breaks, innermost stays inline"
+    "{\n\
+    \  \"seed\": 12648430,\n\
+    \  \"rows\": [\n\
+    \    {\n\
+    \      \"k\": 1,\n\
+    \      \"inner\": { \"x\": 0.50 }\n\
+    \    }\n\
+    \  ]\n\
+     }\n"
+    (pretty v);
+  check_json "compact has no whitespace"
+    {|{"seed":12648430,"rows":[{"k":1,"inner":{"x":0.50}}]}|} (compact v);
+  check_json "compact node inside pretty, zero indent"
+    "{\n\"a\": {\"b\":[1,2]}\n}\n"
+    (pretty ~indent:0 (Obj [ ("a", Compact (Obj [ ("b", List [ Int 1; Int 2 ]) ])) ]))
+
+let test_json_top_level_breaks () =
+  check_json "top-level object of scalars breaks"
+    "{\n  \"schema\": \"s\",\n  \"quick\": false\n}\n"
+    Json.(pretty (Obj [ ("schema", String "s"); ("quick", Bool false) ]))
+
+let test_json_escape () =
+  check_json "quote" {|a\"b|} (Json.escape "a\"b");
+  check_json "backslash" {|a\\b|} (Json.escape "a\\b");
+  check_json "newline" {|a\nb|} (Json.escape "a\nb");
+  check_json "low bytes" {|\u0000\u0001\u0009\u000d\u001f|}
+    (Json.escape "\x00\x01\t\r\x1f");
+  check_json "others pass through" "~\x7f\xc3\xa9" (Json.escape "~\x7f\xc3\xa9");
+  check_json "keys escaped too" {|{"a\nb":"\u0002"}|}
+    Json.(compact (Obj [ ("a\nb", String "\x02") ]))
+
+let test_json_float_rule () =
+  List.iter
+    (fun (expected, f) -> check_json expected expected (Json.float_string f))
+    [
+      ("0", Float.nan);
+      ("1e308", Float.infinity);
+      ("-1e308", Float.neg_infinity);
+      ("42", 42.0);
+      ("-3", -3.0);
+      ("0", 0.0);
+      ("0.5", 0.5);
+      ("3.14159", 3.14159265);
+      ("1e+15", 1e15);
+      ("1.23457e-07", 1.23456789e-7);
+    ];
+  check_json "Float uses the rule" "[0,2,0.25]"
+    Json.(compact (List [ Float Float.nan; Float 2.0; Float 0.25 ]))
+
+let test_json_fixed () =
+  check_json "fixed decimals" "[1.000,0.1,-2.50,3,0.000001]"
+    Json.(
+      compact
+        (List
+           [
+             Fixed (3, 1.0);
+             Fixed (1, 0.05);
+             Fixed (2, -2.5);
+             Fixed (0, 3.4);
+             Fixed (6, 1e-6);
+           ]))
 
 
 (* ---- Heap model check (qcheck) ---- *)
@@ -1071,6 +1165,15 @@ let () =
           case "disabled noop" test_span_disabled_noop;
           case "self time" test_span_self_time;
           case "chrome export" test_span_chrome_export;
+        ] );
+      ( "json",
+        [
+          case "inline scalars" test_json_inline_scalars;
+          case "nested breaks" test_json_nested_breaks;
+          case "top level breaks" test_json_top_level_breaks;
+          case "escape" test_json_escape;
+          case "float rule" test_json_float_rule;
+          case "fixed decimals" test_json_fixed;
         ] );
       ( "determinism-golden",
         [
